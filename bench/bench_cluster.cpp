@@ -45,6 +45,10 @@ namespace {
 
 using namespace repl;
 
+/// Floor on the 1-partition row's ev/s relative to one process; see the
+/// check in main().
+constexpr double kMinOnePartitionVsSingle = 0.25;
+
 struct ClusterRow {
   std::uint32_t partitions = 0;
   bool killed = false;
@@ -224,6 +228,20 @@ int main(int argc, char** argv) {
   // Tracing is observability, not control flow: a traced serve must stay
   // bit-identical to the untraced (and single-process) serve.
   run(2, /*kill_one=*/false, /*traced=*/true);
+
+  // Live admission must batch while the coordinator's connection is
+  // open. Only the 1-partition row can show it at smoke size: a 2- or
+  // 4-partition slice fits in one 64Ki-event wire block, so it arrives
+  // after the coordinator has closed the connection and is admitted in
+  // whole batches either way. In --smoke runs this ratio measured
+  // 0.027-0.042 with one event per batch while open, 0.42-0.63 with
+  // real batches.
+  checks.expect(single_rate > 0.0 &&
+                    rows.front().events_per_sec / single_rate >=
+                        kMinOnePartitionVsSingle,
+                "1-partition serve runs at >= " +
+                    bench::percent_label(kMinOnePartitionVsSingle) +
+                    " of single-process ev/s");
 
   Table table({"partitions", "killed", "traced", "events", "seconds", "ev/s",
                "vs single", "respawns", "identical"});

@@ -44,11 +44,19 @@ namespace {
 
 using namespace repl;
 
+/// Floor on the 1-client row's mean events per engine batch. In --smoke
+/// runs, admission that releases an open connection one event at a time
+/// measured 18-128; correct admission measured 25000 and cannot fall
+/// below ~3800, because each enqueue carries at least one whole
+/// 4096-event frame.
+constexpr std::size_t kMinOneClientEventsPerBatch = 1000;
+
 struct NetRow {
   int clients = 0;
   std::uint64_t events = 0;
   double file_events_per_sec = 0.0;
   double net_events_per_sec = 0.0;
+  double events_per_batch = 0.0;  // mean over the net serve's engine batches
   bool identical = false;
 };
 
@@ -168,14 +176,29 @@ int main(int argc, char** argv) {
     row.file_events_per_sec = file_rate;
     row.net_events_per_sec =
         wall > 0.0 ? static_cast<double>(metrics.events) / wall : 0.0;
+    row.events_per_batch =
+        engine->stats().batches > 0
+            ? static_cast<double>(metrics.events) /
+                  static_cast<double>(engine->stats().batches)
+            : 0.0;
     row.identical = same_aggregates(metrics, file_metrics);
     rows.push_back(row);
     checks.expect(row.identical,
                   std::to_string(clients) +
                       "-client net serve is bit-identical to file replay");
   }
+  // Admission must hand the engine real batches while a client's
+  // connection is open. Timing ratios at smoke size cannot tell the two
+  // rules apart (their net/file ranges overlap); the batch count can.
+  checks.expect(rows.front().events_per_batch >=
+                    static_cast<double>(kMinOneClientEventsPerBatch),
+                "1-client serve averages >= " +
+                    std::to_string(kMinOneClientEventsPerBatch) +
+                    " events per engine batch (" +
+                    std::to_string(rows.front().events_per_batch) + ")");
 
-  Table table({"clients", "events", "file ev/s", "net ev/s", "net/file"});
+  Table table({"clients", "events", "file ev/s", "net ev/s", "net/file",
+               "ev/batch"});
   for (const NetRow& row : rows) {
     table.add_row({Table::cell(row.clients), Table::cell(row.events),
                    Table::cell(row.file_events_per_sec, 0),
@@ -184,7 +207,8 @@ int main(int argc, char** argv) {
                                    ? row.net_events_per_sec /
                                          row.file_events_per_sec
                                    : 0.0,
-                               3)});
+                               3),
+                   Table::cell(row.events_per_batch, 1)});
   }
   std::cout << table.str();
 
@@ -200,6 +224,7 @@ int main(int argc, char** argv) {
     json.key("clients").value(row.clients);
     json.key("events").value(row.events);
     json.key("net_events_per_sec").value(row.net_events_per_sec);
+    json.key("events_per_batch").value(row.events_per_batch);
     json.key("identical").value(row.identical);
     json.end_object();
   }

@@ -102,4 +102,13 @@ void require_manifest_matches(const PartitionManifest& manifest,
                                            << num_servers);
 }
 
+void require_manifest_covers(const PartitionManifest& manifest,
+                             std::uint64_t snapshot_events) {
+  REPL_REQUIRE_MSG(manifest.events_ingested <= snapshot_events,
+                   "partition manifest covers "
+                       << manifest.events_ingested
+                       << " events but the snapshot resumes at "
+                       << snapshot_events);
+}
+
 }  // namespace repl

@@ -10,7 +10,10 @@
 // against the wrong sub-stream and silently diverge. The manifest is a
 // tiny sibling file (snapshot path + ".pman") written atomically right
 // after each checkpoint rename; restore validates it against the
-// worker's assigned slice and fails loudly on any mismatch.
+// worker's assigned slice and fails loudly on any mismatch. The two
+// renames are not one atomic step: a crash between them leaves the
+// manifest one checkpoint behind its snapshot, which restore accepts
+// (require_manifest_covers).
 //
 // Layout (52 bytes, little-endian):
 //   offset  size  field
@@ -66,5 +69,15 @@ void require_manifest_matches(const PartitionManifest& manifest,
                               std::uint32_t partition_id,
                               std::uint32_t num_partitions,
                               std::uint32_t num_servers);
+
+/// The position cross-check against the snapshot the manifest sits next
+/// to. The manifest is renamed into place after its snapshot, so a crash
+/// between the two renames leaves a whole snapshot with the previous
+/// checkpoint's manifest: same slice, lower events_ingested. That pair
+/// is valid — resume from the snapshot, whose position the handshake
+/// reports. A manifest *ahead* of its snapshot is not: throws
+/// std::invalid_argument naming both positions.
+void require_manifest_covers(const PartitionManifest& manifest,
+                             std::uint64_t snapshot_events);
 
 }  // namespace repl

@@ -467,9 +467,11 @@ void ClusterCoordinator::respawn_worker(std::uint32_t p) {
   {
     // The dead worker's control stream is history: clear its partial
     // state so the respawn's hello/finals/summary start clean. Its
-    // reader thread, if still draining, went stale when the new hello
-    // bumps active_epoch.
+    // reader thread may still be draining the EOF the kill caused; with
+    // no active epoch until the new hello, that thread is stale now and
+    // its "worker died" cannot be pinned on the successor.
     std::lock_guard<std::mutex> lock(ctl_mu_);
+    part.active_epoch = 0;
     part.hello_seen = false;
     part.summary_seen = false;
     part.control_failed = false;

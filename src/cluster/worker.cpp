@@ -119,11 +119,7 @@ EngineMetrics run_cluster_worker(const ClusterWorkerOptions& options) {
                          << manifest.base_seed << ", worker runs "
                          << options.engine.base_seed);
     engine = builder.restore(options.resume_from);
-    REPL_REQUIRE_MSG(manifest.events_ingested == engine->resume_position(),
-                     "partition manifest covers "
-                         << manifest.events_ingested
-                         << " events but the snapshot resumes at "
-                         << engine->resume_position());
+    require_manifest_covers(manifest, engine->resume_position());
   }
 
   // Dial the coordinator's control listener and identify ourselves. The

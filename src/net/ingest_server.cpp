@@ -37,8 +37,10 @@ struct NetIngestServer::Connection {
   // Everything below is guarded by NetIngestServer::mu_.
   State state = State::kHandshake;
   std::deque<LogEvent> queue;
-  /// Newest enqueued event time: the connection's watermark floor while
-  /// its queue is empty (future events cannot be earlier).
+  /// Newest enqueued event time. While the connection is open and its
+  /// queue is empty, this is its admission bound (future events cannot
+  /// be earlier); a queued connection needs no bound, its queue front
+  /// takes part in the min-front merge.
   double last_time = 0.0;
   std::uint64_t events_received = 0;
   std::uint64_t bytes_received = 0;
@@ -101,8 +103,11 @@ struct NetIngestServer::Instruments {
             "first")),
         checkpoint_events(r.gauge(
             "repl_checkpoint_events",
-            "Events of the logical stream covered by the last checkpoint")) {
-  }
+            "Events of the logical stream covered by the last checkpoint")),
+        admitted_batch_events(r.histogram(
+            "repl_net_admitted_batch_events",
+            "Events per time-ordered batch handed to the engine",
+            {1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144})) {}
 
   obs::Counter& events_admitted;
   obs::Counter& events_received;
@@ -118,6 +123,7 @@ struct NetIngestServer::Instruments {
   obs::Gauge& watermark_lag;
   obs::Gauge& checkpoint_age;
   obs::Gauge& checkpoint_events;
+  obs::Histogram& admitted_batch_events;
 };
 
 namespace {
@@ -391,8 +397,9 @@ double NetIngestServer::watermark_locked() const {
         mark = std::min(mark, conn->last_time);
         break;
       case Connection::State::kStreaming:
-        mark = std::min(mark, conn->queue.empty() ? conn->last_time
-                                                  : conn->queue.front().time);
+        // A queued connection is ordered by the min-front merge itself:
+        // its next event is its queue front. Only an empty one bounds.
+        if (conn->queue.empty()) mark = std::min(mark, conn->last_time);
         break;
       case Connection::State::kClosed:
       case Connection::State::kFailed:
@@ -420,7 +427,7 @@ bool NetIngestServer::next_batch(std::vector<LogEvent>& out) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (stopping_) return false;
-    const double mark = watermark_locked();
+    double mark = watermark_locked();
     while (out.size() < options_.batch_events) {
       Connection* best = nullptr;
       for (const auto& conn : connections_) {
@@ -436,9 +443,16 @@ bool NetIngestServer::next_batch(std::vector<LogEvent>& out) {
       --total_queued_;
       emitted_time_ = out.back().time;
       ++admitted_events_;
+      // An open connection just drained: from here on it bounds the
+      // merge at the newest time it has delivered.
+      if (best->queue.empty() &&
+          best->state == Connection::State::kStreaming) {
+        mark = std::min(mark, best->last_time);
+      }
     }
     if (!out.empty()) {
       inst_->events_admitted.inc(out.size());
+      inst_->admitted_batch_events.observe(static_cast<double>(out.size()));
       space_cv_.notify_all();
       return true;
     }

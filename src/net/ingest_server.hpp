@@ -9,12 +9,18 @@
 // StreamingEngine::serve through NetIngestSource (engine/event_source.hpp)
 // — the same ingestion path file replay uses.
 //
-// Admission order (the watermark rule): an event is admitted only once
-// its time is ≤ the watermark, the minimum over all open connections of
-// what that connection could still produce — its queue front if it has
-// events queued, else the newest time it has decoded (0 before its
-// first event, which blocks admission: an open connection that has sent
-// nothing might still send anything). Admitted output is therefore
+// Admission order (the watermark rule): queued events leave by a
+// min-front merge over all connections' queues, and an event is
+// admitted only once its time is ≤ the watermark — the minimum, over
+// open connections whose queues are empty, of the newest time each has
+// decoded (0 before its first event, which blocks admission: an open
+// connection that has sent nothing might still send anything). A
+// connection with events queued needs no bound: its next event is its
+// queue front, which the merge already orders. The watermark is
+// recomputed while a batch drains — when a pop empties an open
+// connection's queue, that connection bounds the rest of the batch at
+// its newest time — so one open client streaming alone is admitted in
+// whole batches, not one event at a time. Admitted output is therefore
 // globally non-decreasing in time regardless of how client streams
 // interleave on the wire; per-connection order is preserved, so every
 // object's subsequence is exactly as its producer sent it — the
@@ -174,7 +180,9 @@ class NetIngestServer {
   /// Refreshes the registry gauges that mirror state under mu_; runs as
   /// a registry collect hook on the scraping thread.
   void refresh_gauges() const;
-  /// The watermark under mu_: +inf when no open connection constrains it.
+  /// The admission bound under mu_ at the start of a batch: the minimum
+  /// last_time over open connections with empty queues (0 for one still
+  /// in handshake); +inf when none constrains it.
   double watermark_locked() const;
   bool idle_end_locked() const;
 

@@ -634,6 +634,16 @@ TEST_F(ManifestTest, WrongSliceFailsLoudly) {
                std::invalid_argument);
 }
 
+TEST_F(ManifestTest, ManifestMayLagItsSnapshotButNeverLead) {
+  // A SIGKILL between the snapshot rename and the manifest rename leaves
+  // the previous checkpoint's manifest next to a newer, whole snapshot.
+  const PartitionManifest m = test_manifest();
+  EXPECT_NO_THROW(require_manifest_covers(m, m.events_ingested));
+  EXPECT_NO_THROW(require_manifest_covers(m, m.events_ingested + 1024));
+  EXPECT_THROW(require_manifest_covers(m, m.events_ingested - 1),
+               std::invalid_argument);
+}
+
 TEST_F(ManifestTest, RejectsMissingTruncatedAndCorruptFiles) {
   EXPECT_THROW(read_partition_manifest(file("absent.pman")),
                std::runtime_error);

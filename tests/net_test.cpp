@@ -2,13 +2,15 @@
 // corruption and chunking), and socket-level integration — concurrent
 // interleaved clients whose merged serve is bit-identical to file
 // replay, mid-frame disconnects surviving as the validated prefix,
-// backpressure under tiny queues, live checkpoint/resume, and the
-// metrics endpoint.
+// backpressure under tiny queues, whole-batch admission of an open
+// client and the watermark's edge cases, live checkpoint/resume, and
+// the metrics endpoint.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -551,6 +553,173 @@ TEST_F(NetTest, TinyQueuesBackpressureWithoutLossOrDeadlock) {
   client.join();
   expect_same(metrics, reference);
   EXPECT_EQ(server.connections_failed(), 0u);
+}
+
+/// Polls `done` every millisecond for up to ten seconds.
+template <typename Pred>
+bool wait_for_condition(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// next_batch on another thread, so a test can observe that it blocks.
+std::future<std::vector<LogEvent>> next_batch_async(NetIngestServer& server) {
+  return std::async(std::launch::async, [&server] {
+    std::vector<LogEvent> out;
+    server.next_batch(out);
+    return out;
+  });
+}
+
+std::vector<double> times_of(const std::vector<LogEvent>& events) {
+  std::vector<double> times;
+  for (const LogEvent& event : events) times.push_back(event.time);
+  return times;
+}
+
+TEST_F(NetTest, OpenStreamingClientIsAdmittedInFullBatches) {
+  // One client streams while its connection stays open: it flushes, then
+  // waits for the server to admit every event before closing. Admission
+  // must hand the engine real batches, not one event per batch (a
+  // connection's own queue front must not bound its own admission).
+  const std::size_t kEvents = 200000;
+  const std::size_t kBatch = 4096;
+  const std::vector<LogEvent> all = make_events(kEvents, 1009);
+  const EngineMetrics reference = reference_metrics(all);
+
+  NetServerOptions options;
+  options.unix_path = temp_path("ingest.sock");
+  options.tcp_port = -1;
+  options.batch_events = kBatch;
+  NetIngestServer server(options);
+  auto engine = make_engine();
+  NetIngestSource source(server, kServers);
+  source.attach(*engine);
+
+  bool all_admitted_while_open = false;
+  std::thread client([&] {
+    EventStreamClientOptions blocks;
+    blocks.block_events = 1024;
+    EventStreamClient conn(connect_unix(options.unix_path), blocks);
+    conn.handshake(kServers);
+    for (const LogEvent& event : all) conn.send(event);
+    conn.flush();
+    all_admitted_while_open = wait_for_condition(
+        [&] { return server.events_admitted() >= kEvents; });
+    conn.finish();
+  });
+
+  ServeOptions serve;
+  serve.batch_events = kBatch;
+  const EngineMetrics metrics = engine->serve(source, serve);
+  client.join();
+
+  expect_same(metrics, reference);
+  EXPECT_TRUE(all_admitted_while_open);
+  ASSERT_GT(engine->stats().batches, 0u);
+  const double per_batch = static_cast<double>(kEvents) /
+                           static_cast<double>(engine->stats().batches);
+  EXPECT_GE(per_batch, static_cast<double>(kBatch) / 4.0)
+      << engine->stats().batches << " batches for " << kEvents << " events";
+
+  // /metrics shows the same thing: one histogram observation per batch.
+  bool saw_histogram = false;
+  for (const obs::Sample& s : server.registry().collect()) {
+    if (s.name != "repl_net_admitted_batch_events") continue;
+    saw_histogram = true;
+    EXPECT_EQ(s.count, engine->stats().batches);
+    EXPECT_EQ(s.sum, static_cast<double>(kEvents));
+  }
+  EXPECT_TRUE(saw_histogram);
+}
+
+TEST_F(NetTest, WatermarkBoundsOnlyByOpenConnectionsWithEmptyQueues) {
+  // Drives next_batch directly. A sends 1,2,3 and B sends 1.5,2.5,10,
+  // both staying open. With everything queued, the merge admits 1..3 in
+  // time order; once A's queue drains, A (open, empty) bounds admission
+  // at its newest time 3, so B's 10 waits until A closes.
+  NetServerOptions options;
+  options.unix_path = temp_path("ingest.sock");
+  options.tcp_port = -1;
+  NetIngestServer server(options);
+  server.start(kServers, 0);
+
+  const auto open_client = [&](const std::vector<double>& times) {
+    auto conn =
+        std::make_unique<EventStreamClient>(connect_unix(options.unix_path));
+    conn->handshake(kServers);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      conn->send(LogEvent{times[i], i, static_cast<std::uint32_t>(i)});
+    }
+    conn->flush();
+    return conn;
+  };
+  auto a = open_client({1.0, 2.0, 3.0});
+  auto b = open_client({1.5, 2.5, 10.0});
+  ASSERT_TRUE(wait_for_condition([&] { return server.events_queued() == 6; }));
+
+  std::vector<LogEvent> out;
+  ASSERT_TRUE(server.next_batch(out));
+  EXPECT_EQ(times_of(out), (std::vector<double>{1.0, 1.5, 2.0, 2.5, 3.0}));
+  EXPECT_EQ(server.events_queued(), 1u);
+
+  auto held = next_batch_async(server);
+  EXPECT_EQ(held.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "t=10 admitted while A, open at t=3, could still send t=3";
+  EXPECT_EQ(server.events_admitted(), 5u);
+  a->finish();
+  if (held.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    server.stop();
+    ADD_FAILURE() << "t=10 not admitted after A closed";
+  }
+  EXPECT_EQ(times_of(held.get()), (std::vector<double>{10.0}));
+
+  b->finish();
+  EXPECT_FALSE(server.next_batch(out));  // both closed and drained
+  EXPECT_EQ(server.connections_failed(), 0u);
+}
+
+TEST_F(NetTest, HandshakeOnlyConnectionBlocksAllAdmission) {
+  // An open connection that has sent nothing might still send anything:
+  // it bounds admission at 0 until it streams or goes away.
+  NetServerOptions options;
+  options.unix_path = temp_path("ingest.sock");
+  options.tcp_port = -1;
+  NetIngestServer server(options);
+  server.start(kServers, 0);
+
+  Socket silent = connect_unix(options.unix_path);
+  ASSERT_TRUE(
+      wait_for_condition([&] { return server.connections_total() == 1; }));
+  EventStreamClient conn(connect_unix(options.unix_path));
+  conn.handshake(kServers);
+  conn.send(LogEvent{1.0, 0, 0});
+  conn.send(LogEvent{2.0, 1, 1});
+  conn.flush();
+  ASSERT_TRUE(wait_for_condition([&] { return server.events_queued() == 2; }));
+
+  auto blocked = next_batch_async(server);
+  EXPECT_EQ(blocked.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  EXPECT_EQ(server.events_admitted(), 0u);
+  silent.close();  // dies in handshake: no longer a bound
+  if (blocked.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    server.stop();
+    ADD_FAILURE() << "admission stayed blocked after the silent peer left";
+  }
+  EXPECT_EQ(times_of(blocked.get()), (std::vector<double>{1.0, 2.0}));
+
+  conn.finish();
+  std::vector<LogEvent> out;
+  EXPECT_FALSE(server.next_batch(out));
+  EXPECT_EQ(server.connections_failed(), 1u);
 }
 
 TEST_F(NetTest, ZeroEventClientEndsTheServeCleanly) {

@@ -90,41 +90,44 @@ SnapshotWriter::SnapshotWriter(const std::string& path,
 SnapshotWriter::~SnapshotWriter() = default;
 
 void SnapshotWriter::add_object(std::uint64_t object_id,
-                                const std::vector<unsigned char>& payload) {
+                                const unsigned char* payload,
+                                std::size_t size) {
   REPL_CHECK_MSG(open_, "add_object after close()");
   REPL_CHECK_MSG(objects_written_ < header_.num_objects,
                  "more object records than the header promises");
   REPL_CHECK_MSG(objects_written_ == 0 || object_id > last_id_,
                  "object records must have strictly increasing ids");
-  REPL_REQUIRE_MSG(payload.size() <= SnapshotHeader::kMaxRecordBytes,
-                   "object record of " << payload.size()
+  REPL_REQUIRE_MSG(size <= SnapshotHeader::kMaxRecordBytes,
+                   "object record of " << size
                                        << " bytes exceeds the record cap");
   last_id_ = object_id;
   ++objects_written_;
 
-  const std::vector<unsigned char>* encoded = &payload;
-  std::vector<unsigned char> packed;
+  const unsigned char* encoded = payload;
+  std::size_t encoded_size = size;
   if (header_.codec == SnapshotHeader::kCodecWord) {
-    packed = word_pack(payload);
-    encoded = &packed;
+    packed_.clear();
+    word_pack(payload, size, packed_);
+    encoded = packed_.data();
+    encoded_size = packed_.size();
   }
   // Guaranteed by the codec's expansion bound given the raw cap above;
   // anything this writer emits must pass the reader's length checks.
-  REPL_CHECK(encoded->size() <= SnapshotHeader::kMaxEncodedRecordBytes);
+  REPL_CHECK(encoded_size <= SnapshotHeader::kMaxEncodedRecordBytes);
   unsigned char prefix[20];
   store_le64(prefix, object_id);
-  store_le32(prefix + 8, static_cast<std::uint32_t>(encoded->size()));
-  store_le32(prefix + 12, static_cast<std::uint32_t>(payload.size()));
+  store_le32(prefix + 8, static_cast<std::uint32_t>(encoded_size));
+  store_le32(prefix + 12, static_cast<std::uint32_t>(size));
   std::uint32_t crc = crc32c_update(crc32c_init(), prefix, 16);
-  crc = crc32c_final(crc32c_update(crc, encoded->data(), encoded->size()));
+  crc = crc32c_final(crc32c_update(crc, encoded, encoded_size));
   store_le32(prefix + 16, crc);
   out_.write(reinterpret_cast<const char*>(prefix), sizeof(prefix));
-  out_.write(reinterpret_cast<const char*>(encoded->data()),
-             static_cast<std::streamsize>(encoded->size()));
+  out_.write(reinterpret_cast<const char*>(encoded),
+             static_cast<std::streamsize>(encoded_size));
   if (!out_) {
     throw std::runtime_error("checkpoint " + path_ + ": record write failed");
   }
-  bytes_written_ += sizeof(prefix) + encoded->size();
+  bytes_written_ += sizeof(prefix) + encoded_size;
 }
 
 void SnapshotWriter::close() {
@@ -235,8 +238,8 @@ void SnapshotReader::read_exact(void* dst, std::size_t n, const char* what) {
   }
 }
 
-bool SnapshotReader::next_object(std::uint64_t& object_id,
-                                 std::vector<unsigned char>& payload) {
+bool SnapshotReader::append_object(std::uint64_t& object_id,
+                                   std::vector<unsigned char>& arena) {
   if (objects_read_ == header_.num_objects) {
     if (!footer_checked_) {
       unsigned char footer[8];
@@ -253,6 +256,7 @@ bool SnapshotReader::next_object(std::uint64_t& object_id,
     }
     return false;
   }
+  const std::size_t start = arena.size();
   if (header_.version < 3) {
     unsigned char prefix[12];
     read_exact(prefix, sizeof(prefix), "record prefix");
@@ -268,8 +272,8 @@ bool SnapshotReader::next_object(std::uint64_t& object_id,
            std::to_string(objects_read_) + " (object " +
            std::to_string(object_id) + ")");
     }
-    payload.resize(len);
-    if (len > 0) read_exact(payload.data(), len, "record payload");
+    arena.resize(start + len);
+    if (len > 0) read_exact(arena.data() + start, len, "record payload");
     ++objects_read_;
     return true;
   }
@@ -294,25 +298,30 @@ bool SnapshotReader::next_object(std::uint64_t& object_id,
          std::to_string(objects_read_) + " (object " +
          std::to_string(object_id) + ")");
   }
-  // Raw records decode straight into the caller's buffer; only the word
-  // codec needs the encoded scratch (restore is a hot path — no copy).
+  // Raw records decode straight into the arena; only the word codec
+  // needs the encoded scratch (restore is a hot path — no copy).
   const bool packed = header_.codec == SnapshotHeader::kCodecWord;
-  std::vector<unsigned char>& target = packed ? encoded_ : payload;
-  target.resize(encoded_len);
-  if (encoded_len > 0) {
-    read_exact(target.data(), encoded_len, "record payload");
+  unsigned char* encoded = nullptr;
+  if (packed) {
+    encoded_.resize(encoded_len);
+    encoded = encoded_.data();
+  } else {
+    arena.resize(start + encoded_len);
+    encoded = arena.data() + start;
   }
+  if (encoded_len > 0) read_exact(encoded, encoded_len, "record payload");
   std::uint32_t crc = crc32c_update(crc32c_init(), prefix, 16);
-  crc = crc32c_final(crc32c_update(crc, target.data(), target.size()));
+  crc = crc32c_final(crc32c_update(crc, encoded, encoded_len));
   if (crc != expected_crc) {
     fail("CRC mismatch in record " + std::to_string(objects_read_) +
          " (object " + std::to_string(object_id) + ")");
   }
   if (packed) {
-    payload = word_unpack(encoded_.data(), encoded_.size(), raw_len,
-                          "checkpoint " + path_ + ": record " +
-                              std::to_string(objects_read_) + " (object " +
-                              std::to_string(object_id) + ")");
+    word_unpack(encoded, encoded_len, raw_len,
+                "checkpoint " + path_ + ": record " +
+                    std::to_string(objects_read_) + " (object " +
+                    std::to_string(object_id) + ")",
+                arena);
   } else if (raw_len != encoded_len) {
     fail("raw record " + std::to_string(objects_read_) +
          " declares mismatched lengths");

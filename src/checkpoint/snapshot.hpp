@@ -69,6 +69,7 @@
 // version-1 behavior.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -164,10 +165,16 @@ class SnapshotWriter {
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
-  /// Appends one object record. Ids must be strictly increasing — the
-  /// canonical order, independent of shard layout.
+  /// Appends one object record of `size` payload bytes. Ids must be
+  /// strictly increasing — the canonical order, independent of shard
+  /// layout. The payload is not retained: callers may serialize records
+  /// back to back into one reused buffer.
+  void add_object(std::uint64_t object_id, const unsigned char* payload,
+                  std::size_t size);
   void add_object(std::uint64_t object_id,
-                  const std::vector<unsigned char>& payload);
+                  const std::vector<unsigned char>& payload) {
+    add_object(object_id, payload.data(), payload.size());
+  }
 
   /// Seals the footer, flushes, and closes. Throws std::runtime_error on
   /// I/O failure or if fewer records than promised were added. The
@@ -181,6 +188,8 @@ class SnapshotWriter {
   std::ofstream out_;
   std::string path_;
   SnapshotHeader header_;
+  /// Reusable scratch for word-codec-encoded record payloads.
+  std::vector<unsigned char> packed_;
   std::uint64_t objects_written_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t last_id_ = 0;
@@ -200,7 +209,16 @@ class SnapshotReader {
   /// Reads the next object record; returns false after the last one (at
   /// which point the footer has been verified).
   bool next_object(std::uint64_t& object_id,
-                   std::vector<unsigned char>& payload);
+                   std::vector<unsigned char>& payload) {
+    payload.clear();
+    return append_object(object_id, payload);
+  }
+
+  /// As next_object, but appends the decoded payload to `arena` (its
+  /// earlier bytes are kept), so a batch of records can be read into one
+  /// buffer instead of one vector per record.
+  bool append_object(std::uint64_t& object_id,
+                     std::vector<unsigned char>& arena);
 
  private:
   [[noreturn]] void fail(const std::string& what) const;

@@ -3,18 +3,22 @@
 #include <bit>
 #include <stdexcept>
 
+#include "codec/endian.hpp"
+
 namespace repl {
 
+// Fixed-width fields grow the buffer once and store in place, rather
+// than pushing byte by byte.
 void StateWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + 4);
+  store_le32(buffer_.data() + at, v);
 }
 
 void StateWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + 8);
+  store_le64(buffer_.data() + at, v);
 }
 
 void StateWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -40,19 +44,9 @@ const unsigned char* StateReader::take(std::size_t n) {
 
 std::uint8_t StateReader::u8() { return *take(1); }
 
-std::uint32_t StateReader::u32() {
-  const unsigned char* p = take(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
+std::uint32_t StateReader::u32() { return load_le32(take(4)); }
 
-std::uint64_t StateReader::u64() {
-  const unsigned char* p = take(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
+std::uint64_t StateReader::u64() { return load_le64(take(8)); }
 
 double StateReader::f64() { return std::bit_cast<double>(u64()); }
 

@@ -38,8 +38,9 @@ class StateWriter {
 
   const std::vector<unsigned char>& buffer() const { return buffer_; }
   std::size_t size() const { return buffer_.size(); }
-  /// Moves the encoded bytes out, leaving the writer empty.
-  std::vector<unsigned char> release() { return std::move(buffer_); }
+  /// Empties the writer but keeps its capacity, so one writer can
+  /// serialize many payloads back to back without reallocating.
+  void clear() { buffer_.clear(); }
 
  private:
   std::vector<unsigned char> buffer_;

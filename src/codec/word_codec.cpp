@@ -1,5 +1,6 @@
 #include "codec/word_codec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "codec/endian.hpp"
@@ -22,12 +23,9 @@ unsigned significant_bytes(std::uint64_t x) {
 
 }  // namespace
 
-std::vector<unsigned char> word_pack(const unsigned char* data,
-                                     std::size_t size) {
+void word_pack(const unsigned char* data, std::size_t size,
+               std::vector<unsigned char>& out) {
   const std::size_t words = size / 8;
-  std::vector<unsigned char> out;
-  out.reserve(size / 2 + 16);  // guess; grows to at most ~size * 17/16
-
   std::uint64_t prev = 0;
   std::size_t w = 0;
   while (w < words) {
@@ -48,19 +46,27 @@ std::vector<unsigned char> word_pack(const unsigned char* data,
     out[control_pos] = control;
   }
   out.insert(out.end(), data + words * 8, data + size);
+}
+
+std::vector<unsigned char> word_pack(const unsigned char* data,
+                                     std::size_t size) {
+  std::vector<unsigned char> out;
+  out.reserve(size / 2 + 16);  // guess; grows to at most ~size * 17/16
+  word_pack(data, size, out);
   return out;
 }
 
-std::vector<unsigned char> word_unpack(const unsigned char* data,
-                                       std::size_t size, std::size_t raw_size,
-                                       const std::string& context) {
+void word_unpack(const unsigned char* data, std::size_t size,
+                 std::size_t raw_size, const std::string& context,
+                 std::vector<unsigned char>& out) {
   const auto fail = [&context](const std::string& what) -> void {
     throw std::runtime_error(context + ": " + what);
   };
   const std::size_t words = raw_size / 8;
   const std::size_t tail = raw_size % 8;
-  std::vector<unsigned char> out;
-  out.reserve(raw_size);
+  const std::size_t start = out.size();
+  out.resize(start + raw_size);
+  unsigned char* dst = out.data() + start;
 
   const unsigned char* p = data;
   const unsigned char* const end = data + size;
@@ -80,9 +86,8 @@ std::vector<unsigned char> word_unpack(const unsigned char* data,
         x |= std::uint64_t{*p++} << (8 * i);
       }
       prev ^= x;
-      for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<unsigned char>(prev >> (8 * i)));
-      }
+      store_le64(dst, prev);
+      dst += 8;
     }
     // An odd word count leaves the final control byte's high nibble
     // unused; the encoder writes it as 0 and the loop above simply
@@ -92,8 +97,14 @@ std::vector<unsigned char> word_unpack(const unsigned char* data,
     fail("word codec tail holds " + std::to_string(end - p) +
          " bytes, expected " + std::to_string(tail));
   }
-  out.insert(out.end(), p, end);
-  if (out.size() != raw_size) fail("word codec size mismatch");
+  std::copy(p, end, dst);
+}
+
+std::vector<unsigned char> word_unpack(const unsigned char* data,
+                                       std::size_t size, std::size_t raw_size,
+                                       const std::string& context) {
+  std::vector<unsigned char> out;
+  word_unpack(data, size, raw_size, context, out);
   return out;
 }
 

@@ -31,7 +31,10 @@
 
 namespace repl {
 
-/// Compresses `size` bytes. Deterministic; never fails.
+/// Compresses `size` bytes, appending the encoding to `out`.
+/// Deterministic; never fails.
+void word_pack(const unsigned char* data, std::size_t size,
+               std::vector<unsigned char>& out);
 std::vector<unsigned char> word_pack(const unsigned char* data,
                                      std::size_t size);
 inline std::vector<unsigned char> word_pack(
@@ -39,9 +42,13 @@ inline std::vector<unsigned char> word_pack(
   return word_pack(data.data(), data.size());
 }
 
-/// Decompresses an encoded span back to exactly `raw_size` bytes. Throws
-/// std::runtime_error (prefixed with `context`) when the encoding is
-/// malformed or does not reproduce `raw_size` bytes.
+/// Decompresses an encoded span back to exactly `raw_size` bytes,
+/// appended to `out`. Throws std::runtime_error (prefixed with
+/// `context`) when the encoding is malformed or does not reproduce
+/// `raw_size` bytes; `out`'s appended tail is then unspecified.
+void word_unpack(const unsigned char* data, std::size_t size,
+                 std::size_t raw_size, const std::string& context,
+                 std::vector<unsigned char>& out);
 std::vector<unsigned char> word_unpack(const unsigned char* data,
                                        std::size_t size, std::size_t raw_size,
                                        const std::string& context);

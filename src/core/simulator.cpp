@@ -306,8 +306,9 @@ double OnlineSimulation::last_time() const {
 void OnlineSimulation::save_state(StateWriter& out) const {
   const Impl& im = *impl_;
   REPL_CHECK_MSG(!im.finished, "save_state after finish()");
-  out.str(im.policy.name());
-  out.str(im.predictor.name());
+  // The names captured at construction: name() formats on every call.
+  out.str(im.result.policy_name);
+  out.str(im.result.predictor_name);
   // Config cross-checks: every component below prices against the same
   // SystemConfig, so a snapshot restored under a different λ, initial
   // server, or storage-rate vector must be rejected, not silently
@@ -332,14 +333,14 @@ void OnlineSimulation::load_state(StateReader& in) {
   REPL_CHECK_MSG(im.index == 0,
                  "load_state requires a freshly constructed simulation");
   const std::string policy_name = in.str();
-  if (policy_name != im.policy.name()) {
+  if (policy_name != im.result.policy_name) {
     in.fail("policy mismatch: snapshot has '" + policy_name + "', have '" +
-            im.policy.name() + "'");
+            im.result.policy_name + "'");
   }
   const std::string predictor_name = in.str();
-  if (predictor_name != im.predictor.name()) {
+  if (predictor_name != im.result.predictor_name) {
     in.fail("predictor mismatch: snapshot has '" + predictor_name +
-            "', have '" + im.predictor.name() + "'");
+            "', have '" + im.result.predictor_name + "'");
   }
   if (in.f64() != im.config.transfer_cost) {
     in.fail("transfer cost (lambda) mismatch");

@@ -38,6 +38,17 @@ std::size_t shard_index(std::uint64_t object_id, std::size_t num_shards) {
                                   static_cast<std::uint64_t>(num_shards));
 }
 
+/// One object record of the checkpoint/restore window in flight: its
+/// shard and where its payload lies in a window buffer. checkpoint()
+/// writes payloads into the serializing shard's `window_bytes`;
+/// restore() reads them from one arena shared by the whole window.
+struct WindowRecord {
+  std::uint64_t id = 0;
+  std::size_t shard = 0;
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
 }  // namespace
 
 EngineMetrics reduce_object_finals(const std::vector<EngineObjectFinal>& finals) {
@@ -158,14 +169,13 @@ struct StreamingEngine::Shard {
   std::unordered_map<std::uint64_t, std::unique_ptr<ObjectState>> objects;
   /// Events routed to this shard for the batch in flight, in stream order.
   std::vector<LogEvent> inbox;
-  /// Object records routed to this shard by restore(), decoded by the
-  /// shard task in parallel.
-  std::vector<std::pair<std::uint64_t, std::vector<unsigned char>>>
-      restore_inbox;
-  /// (id, payload) snapshots produced by checkpoint()'s shard tasks,
-  /// merged into canonical id order on the calling thread.
-  std::vector<std::pair<std::uint64_t, std::vector<unsigned char>>>
-      snapshots;
+  /// Positions, in the window's record table, of the records this shard
+  /// serializes (checkpoint) or decodes (restore) for the window in
+  /// flight.
+  std::vector<std::size_t> window;
+  /// checkpoint(): this shard's payloads for the window in flight, back
+  /// to back. Cleared, capacity kept, between windows.
+  StateWriter window_bytes;
   /// Set by the shard task on failure; the lowest shard index wins.
   std::exception_ptr error;
   /// Filled by finish(), sorted by object id.
@@ -654,39 +664,20 @@ void StreamingEngine::checkpoint(const std::string& path) {
   REPL_CHECK_MSG(!finished_, "checkpoint after finish()");
   REPL_CHECK_MSG(!failed_, "engine unusable after a prior failure");
 
-  // Serialize shard-parallel: each task snapshots its own objects into
-  // id-sorted (id, payload) pairs.
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->objects.empty()) active.push_back(i);
-  }
-  run_shard_tasks(active, [](Shard& shard) {
-    shard.snapshots.clear();
-    shard.snapshots.reserve(shard.objects.size());
-    for (const auto& [id, state] : shard.objects) {
-      StateWriter writer;
-      state->save_state(writer);
-      shard.snapshots.emplace_back(id, writer.release());
+  // Canonical record order: ascending id, independent of shard layout.
+  std::vector<std::pair<std::uint64_t, const ObjectState*>> order;
+  order.reserve(object_count());
+  for (const auto& shard : shards_) {
+    for (const auto& [id, state] : shard->objects) {
+      order.emplace_back(id, state.get());
     }
-    std::sort(shard.snapshots.begin(), shard.snapshots.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  });
-
-  // Merge to canonical order: shards partition the id space, so a global
-  // id sort over the shard-sorted runs yields the snapshot's record
-  // order regardless of shard layout.
-  std::vector<const std::pair<std::uint64_t, std::vector<unsigned char>>*>
-      records;
-  records.reserve(object_count());
-  for (const std::size_t i : active) {
-    for (const auto& entry : shards_[i]->snapshots) records.push_back(&entry);
   }
-  std::sort(records.begin(), records.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   SnapshotHeader header;
   header.num_servers = static_cast<std::uint32_t>(config_.num_servers);
-  header.num_objects = records.size();
+  header.num_objects = order.size();
   header.events_ingested = stats_.events_ingested;
   header.batches = stats_.batches;
   header.base_seed = options_.base_seed;
@@ -705,18 +696,48 @@ void StreamingEngine::checkpoint(const std::string& path) {
   header.codec = options_.compress_checkpoints ? SnapshotHeader::kCodecWord
                                                : SnapshotHeader::kCodecRaw;
   SnapshotWriter writer(path, header);
-  for (const auto* record : records) {
-    writer.add_object(record->first, record->second);
+
+  // Serialize one window at a time, shard-parallel, into per-shard
+  // buffers; then write the window's records in id order on this
+  // thread. Transient memory is one window's payloads, not the whole
+  // snapshot.
+  std::vector<WindowRecord> records;
+  std::vector<std::size_t> active;
+  for (std::size_t begin = 0; begin < order.size();
+       begin += kSnapshotWindowObjects) {
+    const std::size_t end =
+        std::min(order.size(), begin + kSnapshotWindowObjects);
+    records.assign(end - begin, WindowRecord{});
+    active.clear();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      records[i].id = order[begin + i].first;
+      records[i].shard = shard_index(records[i].id, options_.num_shards);
+      Shard& shard = *shards_[records[i].shard];
+      if (shard.window.empty()) active.push_back(records[i].shard);
+      shard.window.push_back(i);
+    }
+    run_shard_tasks(active, [&](Shard& shard) {
+      shard.window_bytes.clear();
+      for (const std::size_t i : shard.window) {
+        records[i].offset = shard.window_bytes.size();
+        order[begin + i].second->save_state(shard.window_bytes);
+        records[i].size = shard.window_bytes.size() - records[i].offset;
+      }
+      shard.window.clear();
+    });
+    for (const WindowRecord& record : records) {
+      writer.add_object(
+          record.id,
+          shards_[record.shard]->window_bytes.buffer().data() + record.offset,
+          record.size);
+    }
   }
   writer.close();
+  for (const auto& shard : shards_) shard->window_bytes = StateWriter();
   stats_.checkpoint_bytes += writer.bytes_written();
   if (telemetry_) {
     telemetry_->checkpoint_writes.inc();
     telemetry_->checkpoint_bytes.inc(writer.bytes_written());
-  }
-  for (const std::size_t i : active) {
-    shards_[i]->snapshots.clear();
-    shards_[i]->snapshots.shrink_to_fit();
   }
 }
 
@@ -785,35 +806,41 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
     engine->log_num_events_ = header.log_num_events;
   }
 
-  // Rebuild the object table in bounded-memory chunks: route records to
-  // shard inboxes, then decode shard-parallel (object construction runs
-  // the factories + a fresh simulation reset before load_state overwrites
-  // the evolved fields — the expensive part, worth the fan-out).
-  constexpr std::size_t kChunkObjects = std::size_t{1} << 16;
+  // Rebuild the object table one window at a time: read the window's
+  // payloads into one arena, route its records to shards, then decode
+  // shard-parallel (object construction runs the factories + a fresh
+  // simulation reset before load_state overwrites the evolved fields —
+  // the expensive part, worth the fan-out).
+  std::vector<unsigned char> arena;
+  std::vector<WindowRecord> records;
+  std::vector<std::size_t> active;
   bool more = true;
   while (more) {
-    std::vector<std::size_t> active;
-    std::size_t routed = 0;
-    std::uint64_t id = 0;
-    std::vector<unsigned char> payload;
-    while (routed < kChunkObjects && (more = reader.next_object(id, payload))) {
-      Shard& shard = engine->shard_for(id);
-      if (shard.restore_inbox.empty()) {
-        active.push_back(shard_index(id, engine->options_.num_shards));
-      }
-      shard.restore_inbox.emplace_back(id, std::move(payload));
-      ++routed;
+    arena.clear();
+    records.clear();
+    active.clear();
+    WindowRecord record;
+    while (records.size() < kSnapshotWindowObjects &&
+           (more = reader.append_object(record.id, arena))) {
+      record.shard = shard_index(record.id, engine->options_.num_shards);
+      record.size = arena.size() - record.offset;
+      Shard& shard = *engine->shards_[record.shard];
+      if (shard.window.empty()) active.push_back(record.shard);
+      shard.window.push_back(records.size());
+      records.push_back(record);
+      record.offset = arena.size();
     }
-    if (routed == 0) break;
-    engine->run_shard_tasks(active, [&engine](Shard& shard) {
-      for (auto& [object_id, bytes] : shard.restore_inbox) {
-        auto state = engine->make_object_state(object_id);
-        StateReader in(bytes.data(), bytes.size(),
-                       "object " + std::to_string(object_id));
+    if (records.empty()) break;
+    engine->run_shard_tasks(active, [&](Shard& shard) {
+      for (const std::size_t i : shard.window) {
+        const WindowRecord& r = records[i];
+        auto state = engine->make_object_state(r.id);
+        StateReader in(arena.data() + r.offset, r.size,
+                       "object " + std::to_string(r.id));
         state->load_state(in);
-        shard.objects.emplace(object_id, std::move(state));
+        shard.objects.emplace(r.id, std::move(state));
       }
-      shard.restore_inbox.clear();
+      shard.window.clear();
     });
   }
   REPL_CHECK(engine->object_count() ==

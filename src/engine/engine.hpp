@@ -30,6 +30,7 @@
 // ParallelRunner::object_seed(base_seed, object_id).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -252,6 +253,11 @@ struct ServeOptions {
 
 class StreamingEngine {
  public:
+  /// Objects per checkpoint()/restore() window. Both serialize or decode
+  /// one window of object records at a time, so their transient memory
+  /// is one window's payloads on top of the object state itself.
+  static constexpr std::size_t kSnapshotWindowObjects = 4096;
+
   StreamingEngine(SystemConfig config, EngineOptions options,
                   EnginePolicyFactory make_policy,
                   EnginePredictorFactory make_predictor);
@@ -303,7 +309,9 @@ class StreamingEngine {
   /// Object records are written in ascending object id, so the snapshot
   /// is canonical: independent of this engine's shard count and thread
   /// count, and restorable into any other shard/thread geometry.
-  /// The engine remains serveable afterwards.
+  /// Records are serialized kSnapshotWindowObjects at a time, so the
+  /// snapshot never resides in memory whole. The engine remains
+  /// serveable afterwards.
   void checkpoint(const std::string& path);
 
   /// Reconstructs an engine from a snapshot written by checkpoint().

@@ -16,8 +16,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,13 +27,19 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
+
 #include "checkpoint/snapshot.hpp"
 #include "checkpoint/state_io.hpp"
+#include "codec/crc32.hpp"
 #include "core/adaptive_drwp.hpp"
 #include "core/drwp.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
 #include "extensions/randomized_drwp.hpp"
+#include "extensions/weighted_drwp.hpp"
 #include "predictor/ensemble.hpp"
 #include "predictor/fixed.hpp"
 #include "predictor/history.hpp"
@@ -747,6 +755,233 @@ TEST_F(CheckpointFileTest, ServeRequiresPathWithCheckpointEvery) {
   ServeOptions options;
   options.checkpoint_every = 10;
   EXPECT_THROW(engine->serve(reader, options), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Component names: written into every object record, so their text must
+// never change.
+// ---------------------------------------------------------------------
+
+/// The stream formatting the names were always built with.
+std::string stream_formatted(double v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
+TEST(CheckpointNamesTest, NamesMatchTheirStreamFormatting) {
+  const Trace trace = random_trace(5, 20);
+  for (const double alpha : {0.3, 1.0, 1e-7, 0.123456789, 2.5e10}) {
+    SCOPED_TRACE(stream_formatted(alpha));
+    const std::string a = stream_formatted(alpha);
+    EXPECT_EQ(DrwpPolicy(alpha).name(), "drwp(alpha=" + a + ")");
+    AdaptiveDrwpPolicy::Options options;
+    options.beta = alpha;
+    EXPECT_EQ(AdaptiveDrwpPolicy(alpha, options).name(),
+              "adaptive-drwp(alpha=" + a + ",beta=" + a + ")");
+    EXPECT_EQ(RandomizedDrwpPolicy(alpha, 1).name(),
+              "randomized-drwp(alpha=" + a + ")");
+    EXPECT_EQ(WeightedDrwpPolicy(alpha).name(),
+              "weighted-drwp(alpha=" + a + ")");
+    if (alpha > 1.0) continue;  // penalty and accuracy live in (0, 1]
+    std::vector<std::shared_ptr<Predictor>> experts;
+    experts.push_back(std::make_shared<LastGapPredictor>(kServers));
+    experts.push_back(std::make_shared<FixedPredictor>(true));
+    EnsemblePredictor::Config config;
+    config.penalty = alpha;
+    EXPECT_EQ(EnsemblePredictor(experts, config).name(),
+              alpha < 1.0 ? "ensemble(2 experts, penalty=" + a + ")"
+                          : std::string("ensemble(2 experts)"));
+    EXPECT_EQ(AccuracyPredictor(trace, alpha, 7).name(),
+              "accuracy(" + a + ")");
+  }
+}
+
+// ---------------------------------------------------------------------
+// Canonical snapshot bytes.
+// ---------------------------------------------------------------------
+
+/// A component mix whose names cover every formatting path of the DRWP
+/// family and the ensemble (a non-round alpha, a tiny one, penalty < 1).
+/// Names are written into every object record, so the golden digests
+/// below pin their formatting too.
+EnginePolicyFactory mixed_policy_factory() {
+  return [](const EngineObjectContext& context) -> PolicyPtr {
+    switch (context.object_id % 4) {
+      case 0:
+        return std::make_unique<DrwpPolicy>(0.3);
+      case 1: {
+        AdaptiveDrwpPolicy::Options options;
+        options.beta = 0.25;
+        options.warmup_requests = 10;
+        return std::make_unique<AdaptiveDrwpPolicy>(0.123456789, options);
+      }
+      case 2:
+        return std::make_unique<RandomizedDrwpPolicy>(1e-7, context.seed);
+      default:
+        return std::make_unique<WeightedDrwpPolicy>(2.5);
+    }
+  };
+}
+
+EnginePredictorFactory mixed_predictor_factory() {
+  return [](const EngineObjectContext& context) -> PredictorPtr {
+    switch (context.object_id % 3) {
+      case 0:
+        return std::make_unique<LastGapPredictor>(kServers);
+      case 1:
+        return std::make_unique<HistoryPredictor>(kServers);
+      default: {
+        std::vector<std::shared_ptr<Predictor>> experts;
+        experts.push_back(std::make_shared<HistoryPredictor>(kServers));
+        experts.push_back(std::make_shared<LastGapPredictor>(kServers));
+        experts.push_back(std::make_shared<FixedPredictor>(true));
+        EnsemblePredictor::Config config;
+        config.penalty = 0.75;
+        return std::make_unique<EnsemblePredictor>(std::move(experts), config);
+      }
+    }
+  };
+}
+
+EngineOptions geometry(std::size_t shards, int threads, bool compress) {
+  EngineOptions options;
+  options.num_shards = shards;
+  options.num_threads = threads;
+  options.compress_checkpoints = compress;
+  return options;
+}
+
+/// Serves `events` with the mixed components and checkpoints to `path`.
+void write_mixed_snapshot(const std::vector<LogEvent>& events,
+                          const EngineOptions& options,
+                          const std::string& path) {
+  StreamingEngine engine(test_config(), options, mixed_policy_factory(),
+                         mixed_predictor_factory());
+  engine.ingest(events);
+  engine.checkpoint(path);
+}
+
+std::vector<unsigned char> read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<unsigned char>(std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>());
+}
+
+/// Two passes over ids 0..num_objects-1 in a scrambled order at random
+/// servers: every object is live and has history.
+std::vector<LogEvent> covering_events(std::size_t num_objects,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<LogEvent> events;
+  double t = 0.0;
+  for (std::size_t i = 0; i < 2 * num_objects; ++i) {
+    t += rng.uniform(0.01, 2.0);
+    events.push_back(LogEvent{
+        t, (i * 7919) % num_objects,
+        static_cast<std::uint32_t>(rng.uniform_index(kServers))});
+  }
+  return events;
+}
+
+TEST_F(CheckpointFileTest, GoldenSnapshotBytesArePinned) {
+  // Digests of snapshots written before checkpoints were windowed: the
+  // windowed writer must reproduce them byte for byte.
+  struct Golden {
+    bool compress;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const std::vector<LogEvent> events = interleaved_events(30000, 9000, 1018);
+  for (const Golden& golden : {Golden{false, 7258811, 0x152c33a8u},
+                               Golden{true, 6009603, 0xb395f645u}}) {
+    SCOPED_TRACE(golden.compress ? "word codec" : "raw");
+    const std::string path = temp_path("golden.ckpt");
+    write_mixed_snapshot(events, geometry(16, 4, golden.compress), path);
+    EXPECT_EQ(read_snapshot_header(path).num_objects, 8694u);
+    const std::vector<unsigned char> bytes = read_file_bytes(path);
+    EXPECT_EQ(bytes.size(), golden.size);
+    EXPECT_EQ(crc32c(bytes.data(), bytes.size()), golden.crc);
+  }
+}
+
+TEST_F(CheckpointFileTest, SnapshotBytesAreCanonicalAcrossWindowBoundaries) {
+  constexpr std::size_t kWindow = StreamingEngine::kSnapshotWindowObjects;
+  const std::vector<std::pair<std::size_t, int>> geometries = {{64, 4},
+                                                               {3, 2}};
+  for (const std::size_t num_objects :
+       {kWindow - 1, kWindow, kWindow + 1, 3 * kWindow + 7}) {
+    const std::vector<LogEvent> events = covering_events(num_objects, 77);
+    for (const bool compress : {false, true}) {
+      SCOPED_TRACE(std::to_string(num_objects) + " objects, " +
+                   (compress ? "word codec" : "raw"));
+      // The (1 shard, 1 thread) geometry is the reference.
+      const std::string reference_path = temp_path("reference.ckpt");
+      write_mixed_snapshot(events, geometry(1, 1, compress), reference_path);
+      const std::vector<unsigned char> reference =
+          read_file_bytes(reference_path);
+      EXPECT_EQ(read_snapshot_header(reference_path).num_objects,
+                num_objects);
+      const std::string path = temp_path("geometry.ckpt");
+      for (const auto& [shards, threads] : geometries) {
+        write_mixed_snapshot(events, geometry(shards, threads, compress),
+                             path);
+        EXPECT_EQ(read_file_bytes(path), reference)
+            << shards << " shards, " << threads << " threads";
+      }
+
+      // Restore reads in windows too: a restored engine re-checkpoints
+      // the same bytes.
+      auto restored = StreamingEngine::restore(
+          reference_path, test_config(), geometry(3, 2, compress),
+          mixed_policy_factory(), mixed_predictor_factory());
+      EXPECT_EQ(restored->object_count(), num_objects);
+      restored->checkpoint(path);
+      EXPECT_EQ(read_file_bytes(path), reference) << "after a restore";
+    }
+  }
+}
+
+#ifdef __linux__
+/// Peak resident set of this process so far, in bytes (Linux reports
+/// ru_maxrss in KiB).
+std::size_t peak_rss_bytes() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;
+}
+#endif
+
+TEST_F(CheckpointFileTest, CheckpointMemoryIsBoundedByOneWindow) {
+#ifndef __linux__
+  GTEST_SKIP() << "reads the peak RSS from getrusage (Linux units)";
+#else
+  // Needs a process of its own (ctest runs each test in one): the
+  // measurement is the growth of this process's peak RSS.
+  constexpr std::size_t kObjects = 60000;
+  const std::vector<LogEvent> events = covering_events(kObjects, 5);
+  const std::size_t before_state = peak_rss_bytes();
+  auto engine = fresh_engine(64, 2);
+  engine->ingest(events);
+  ASSERT_EQ(engine->object_count(), kObjects);
+  const std::size_t with_state = peak_rss_bytes();
+  const std::size_t state_growth = with_state - before_state;
+  if (state_growth < (std::size_t{16} << 20)) {
+    GTEST_SKIP() << "an earlier peak in this process hides the state's "
+                    "growth; run this test on its own";
+  }
+
+  engine->checkpoint(temp_path("memory.ckpt"));
+  const std::size_t checkpoint_growth = peak_rss_bytes() - with_state;
+  EXPECT_EQ(read_snapshot_header(temp_path("memory.ckpt")).num_objects,
+            kObjects);
+  // Transient memory is one window of payloads plus the id order, a
+  // few percent of the state; a whole in-memory snapshot costs about as
+  // much as the state itself.
+  EXPECT_LE(checkpoint_growth * 4, state_growth)
+      << "checkpoint grew the peak RSS by " << checkpoint_growth
+      << " bytes on top of " << state_growth << " bytes of object state";
+#endif
 }
 
 }  // namespace

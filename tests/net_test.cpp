@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -318,17 +319,29 @@ class NetTest : public ::testing::Test {
 };
 
 /// Streams `events` through a connected client; swallows socket errors
-/// (tests that kill connections expect the peer to see EPIPE).
+/// (tests that kill connections expect the peer to see EPIPE). With
+/// `handshaken` set, the client waits after its handshake until every
+/// client sharing the latch has handshaken too: the server then knows
+/// all producers before any event is admitted, so none joins behind the
+/// watermark and is killed as time-regressed.
 void stream_events(Socket sock, const std::vector<LogEvent>& events,
-                   EventStreamClientOptions options = {}) {
+                   EventStreamClientOptions options = {},
+                   std::latch* handshaken = nullptr) {
+  bool arrived = false;
   try {
     EventStreamClient client(std::move(sock), options);
     client.handshake(kServers);
+    if (handshaken != nullptr) {
+      arrived = true;
+      handshaken->arrive_and_wait();
+    }
     for (const LogEvent& event : events) {
       if (!client.send(event)) return;
     }
     client.finish();
   } catch (const std::exception&) {
+    // Never strand the other clients at the latch.
+    if (handshaken != nullptr && !arrived) handshaken->count_down();
   }
 }
 
@@ -350,6 +363,7 @@ TEST_F(NetTest, InterleavedClientsMatchFileReplayBitForBit) {
   const int port = server.tcp_port();
   ASSERT_GT(port, 0);
 
+  std::latch handshaken(3);
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     std::vector<LogEvent> share;
@@ -362,9 +376,11 @@ TEST_F(NetTest, InterleavedClientsMatchFileReplayBitForBit) {
       client_options.chunk_bytes = 64;
       client_options.pace_seconds = 0.0002;
     }
-    clients.emplace_back([port, share = std::move(share), client_options] {
-      stream_events(connect_tcp("127.0.0.1", port), share, client_options);
-    });
+    clients.emplace_back(
+        [port, share = std::move(share), client_options, &handshaken] {
+          stream_events(connect_tcp("127.0.0.1", port), share, client_options,
+                        &handshaken);
+        });
   }
 
   const EngineMetrics metrics = engine->serve(*&source, ServeOptions{});
@@ -425,14 +441,16 @@ TEST_F(NetTest, MidFrameDisconnectKeepsExactlyTheValidatedPrefix) {
   NetIngestSource source(server, kServers);
   source.attach(*engine);
 
+  std::latch handshaken(2);
   std::thread a([&] {
-    stream_events(connect_unix(options.unix_path), share_a, {});
+    stream_events(connect_unix(options.unix_path), share_a, {}, &handshaken);
   });
   std::thread b([&] {
     EventStreamClientOptions dropper;
     dropper.block_events = kBlock;
     dropper.abort_after_bytes = abort_bytes;
-    stream_events(connect_unix(options.unix_path), share_b, dropper);
+    stream_events(connect_unix(options.unix_path), share_b, dropper,
+                  &handshaken);
   });
 
   const EngineMetrics metrics = engine->serve(source, ServeOptions{});

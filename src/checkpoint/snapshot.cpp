@@ -317,11 +317,12 @@ bool SnapshotReader::append_object(std::uint64_t& object_id,
          " (object " + std::to_string(object_id) + ")");
   }
   if (packed) {
-    word_unpack(encoded, encoded_len, raw_len,
-                "checkpoint " + path_ + ": record " +
-                    std::to_string(objects_read_) + " (object " +
-                    std::to_string(object_id) + ")",
-                arena);
+    const std::string error =
+        try_word_unpack(encoded, encoded_len, raw_len, arena);
+    if (!error.empty()) {
+      fail("record " + std::to_string(objects_read_) + " (object " +
+           std::to_string(object_id) + "): " + error);
+    }
   } else if (raw_len != encoded_len) {
     fail("raw record " + std::to_string(objects_read_) +
          " declares mismatched lengths");

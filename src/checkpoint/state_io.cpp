@@ -28,8 +28,12 @@ void StateWriter::str(const std::string& v) {
   buffer_.insert(buffer_.end(), v.begin(), v.end());
 }
 
+std::string StateReader::context() const {
+  return is_object_ ? "object " + std::to_string(object_id_) : context_;
+}
+
 void StateReader::fail(const std::string& what) const {
-  throw std::runtime_error("checkpoint: " + context_ + ": " + what);
+  throw std::runtime_error("checkpoint: " + context() + ": " + what);
 }
 
 const unsigned char* StateReader::take(std::size_t n) {
@@ -64,7 +68,7 @@ std::string StateReader::str() {
 
 void StateReader::expect_end() const {
   if (pos_ != size_) {
-    throw std::runtime_error("checkpoint: " + context_ + ": " +
+    throw std::runtime_error("checkpoint: " + context() + ": " +
                              std::to_string(size_ - pos_) +
                              " trailing bytes after payload");
   }

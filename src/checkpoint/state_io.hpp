@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace repl {
@@ -48,12 +49,18 @@ class StateWriter {
 
 /// Decodes a byte span produced by StateWriter. Does not own the bytes;
 /// the span must outlive the reader. `context` names the payload (e.g.
-/// "object 42") in error messages.
+/// "round trip") in error messages.
 class StateReader {
  public:
   StateReader(const unsigned char* data, std::size_t size,
               std::string context)
       : data_(data), size_(size), context_(std::move(context)) {}
+  /// Names the payload "object <object_id>". The text is built only when
+  /// a decode fails, so a restore decoding millions of objects builds
+  /// none.
+  StateReader(const unsigned char* data, std::size_t size,
+              std::uint64_t object_id)
+      : data_(data), size_(size), object_id_(object_id), is_object_(true) {}
 
   std::uint8_t u8();
   std::uint32_t u32();
@@ -64,7 +71,7 @@ class StateReader {
   std::string str();
 
   std::size_t remaining() const { return size_ - pos_; }
-  const std::string& context() const { return context_; }
+  std::string context() const;
 
   /// Fails unless the payload was consumed exactly — trailing bytes mean
   /// the snapshot and the code disagree about the format.
@@ -80,6 +87,8 @@ class StateReader {
   std::size_t size_;
   std::size_t pos_ = 0;
   std::string context_;
+  std::uint64_t object_id_ = 0;
+  bool is_object_ = false;
 };
 
 }  // namespace repl

@@ -56,12 +56,9 @@ std::vector<unsigned char> word_pack(const unsigned char* data,
   return out;
 }
 
-void word_unpack(const unsigned char* data, std::size_t size,
-                 std::size_t raw_size, const std::string& context,
-                 std::vector<unsigned char>& out) {
-  const auto fail = [&context](const std::string& what) -> void {
-    throw std::runtime_error(context + ": " + what);
-  };
+std::string try_word_unpack(const unsigned char* data, std::size_t size,
+                            std::size_t raw_size,
+                            std::vector<unsigned char>& out) {
   const std::size_t words = raw_size / 8;
   const std::size_t tail = raw_size % 8;
   const std::size_t start = out.size();
@@ -73,13 +70,13 @@ void word_unpack(const unsigned char* data, std::size_t size,
   std::uint64_t prev = 0;
   std::size_t w = 0;
   while (w < words) {
-    if (p == end) fail("word codec input ends before a control byte");
+    if (p == end) return "word codec input ends before a control byte";
     const unsigned char control = *p++;
     for (int half = 0; half < 2 && w < words; ++half, ++w) {
       const unsigned n = (control >> (4 * half)) & 0x0Fu;
-      if (n > 8) fail("word codec control nibble " + std::to_string(n));
+      if (n > 8) return "word codec control nibble " + std::to_string(n);
       if (static_cast<std::size_t>(end - p) < n) {
-        fail("word codec input ends inside a word");
+        return "word codec input ends inside a word";
       }
       std::uint64_t x = 0;
       for (unsigned i = 0; i < n; ++i) {
@@ -94,17 +91,19 @@ void word_unpack(const unsigned char* data, std::size_t size,
     // stopped at `words`, so nothing to check here.
   }
   if (static_cast<std::size_t>(end - p) != tail) {
-    fail("word codec tail holds " + std::to_string(end - p) +
-         " bytes, expected " + std::to_string(tail));
+    return "word codec tail holds " + std::to_string(end - p) +
+           " bytes, expected " + std::to_string(tail);
   }
   std::copy(p, end, dst);
+  return {};
 }
 
 std::vector<unsigned char> word_unpack(const unsigned char* data,
                                        std::size_t size, std::size_t raw_size,
                                        const std::string& context) {
   std::vector<unsigned char> out;
-  word_unpack(data, size, raw_size, context, out);
+  const std::string error = try_word_unpack(data, size, raw_size, out);
+  if (!error.empty()) throw std::runtime_error(context + ": " + error);
   return out;
 }
 

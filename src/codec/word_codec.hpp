@@ -43,12 +43,16 @@ inline std::vector<unsigned char> word_pack(
 }
 
 /// Decompresses an encoded span back to exactly `raw_size` bytes,
-/// appended to `out`. Throws std::runtime_error (prefixed with
-/// `context`) when the encoding is malformed or does not reproduce
-/// `raw_size` bytes; `out`'s appended tail is then unspecified.
-void word_unpack(const unsigned char* data, std::size_t size,
-                 std::size_t raw_size, const std::string& context,
-                 std::vector<unsigned char>& out);
+/// appended to `out`. Returns an empty string on success, else what is
+/// malformed (the encoding, or a length that does not reproduce
+/// `raw_size` bytes); `out`'s appended tail is then unspecified. Callers
+/// build their error context only on that failure path.
+[[nodiscard]] std::string try_word_unpack(const unsigned char* data,
+                                          std::size_t size,
+                                          std::size_t raw_size,
+                                          std::vector<unsigned char>& out);
+/// As try_word_unpack into a fresh vector, but throws std::runtime_error
+/// ("<context>: <what>") on malformed input.
 std::vector<unsigned char> word_unpack(const unsigned char* data,
                                        std::size_t size, std::size_t raw_size,
                                        const std::string& context);

@@ -29,13 +29,11 @@ void DrwpPolicy::reset(const SystemConfig& config, const Prediction& pred0,
                   ServerState{});
   copy_count_ = 0;
   now_ = 0.0;
-  expiries_ = {};
+  special_since_ = kInf;
 
   // Line 2: the initial copy at s1, with an intended duration chosen by
   // the prediction for the dummy request r0.
-  ServerState& s0 = servers_[static_cast<std::size_t>(config.initial_server)];
-  s0.has_copy = true;
-  s0.last_request_time = 0.0;
+  servers_[static_cast<std::size_t>(config.initial_server)].has_copy = true;
   copy_count_ = 1;
   sink.on_create(config.initial_server, 0.0);
   ServeContext ctx;
@@ -56,29 +54,38 @@ void DrwpPolicy::set_intended(int server, double time, double duration,
   REPL_REQUIRE(duration > 0.0);
   ServerState& st = servers_[static_cast<std::size_t>(server)];
   REPL_CHECK(st.has_copy);
-  st.special = false;
-  st.special_since = kInf;
-  st.expiry = time + duration;
+  if (st.special) {
+    st.special = false;
+    special_since_ = kInf;
+  }
+  // E_j = time + duration, derived from these two (ServerState::expiry).
+  st.last_request_time = time;
   st.last_intended = duration;
   ++st.generation;
-  expiries_.push(HeapEntry{st.expiry, server, st.generation});
   sink.on_set_duration(server, time, duration);
 }
 
-void DrwpPolicy::purge_stale_heap() const {
-  while (!expiries_.empty()) {
-    const HeapEntry& top = expiries_.top();
-    const ServerState& st = servers_[static_cast<std::size_t>(top.server)];
-    const bool valid =
-        st.has_copy && !st.special && st.generation == top.generation;
-    if (valid) return;
-    expiries_.pop();
+int DrwpPolicy::next_expiring() const {
+  // A scan in ascending server order with a strict comparison: among
+  // bit-equal expiries the lowest server fires first, which keeps the
+  // event order deterministic (Drwp tests pin it).
+  int next = -1;
+  double next_expiry = kInf;
+  for (int s = 0; s < config_.num_servers; ++s) {
+    const ServerState& st = servers_[static_cast<std::size_t>(s)];
+    if (!st.has_copy || st.special) continue;
+    const double expiry = st.expiry();
+    if (next < 0 || expiry < next_expiry) {
+      next = s;
+      next_expiry = expiry;
+    }
   }
+  return next;
 }
 
 double DrwpPolicy::next_transition_time() const {
-  purge_stale_heap();
-  return expiries_.empty() ? kInf : expiries_.top().time;
+  const int next = next_expiring();
+  return next < 0 ? kInf : servers_[static_cast<std::size_t>(next)].expiry();
 }
 
 void DrwpPolicy::process_expiry(int server, double time, EventSink& sink) {
@@ -87,7 +94,7 @@ void DrwpPolicy::process_expiry(int server, double time, EventSink& sink) {
   REPL_CHECK(st.has_copy && !st.special);
   if (copy_count_ == 1) {
     st.special = true;
-    st.special_since = time;
+    special_since_ = time;
     sink.on_mark_special(server, time);
   } else {
     st.has_copy = false;
@@ -100,13 +107,12 @@ void DrwpPolicy::process_expiry(int server, double time, EventSink& sink) {
 void DrwpPolicy::advance_to(double time, EventSink& sink) {
   REPL_CHECK_MSG(time >= now_, "advance_to moved backwards");
   for (;;) {
-    purge_stale_heap();
-    if (expiries_.empty()) break;
-    const HeapEntry top = expiries_.top();
-    if (!(top.time < time)) break;  // expiry at exactly `time` fires later
-    expiries_.pop();
-    process_expiry(top.server, top.time, sink);
-    now_ = top.time;
+    const int next = next_expiring();
+    if (next < 0) break;
+    const double expiry = servers_[static_cast<std::size_t>(next)].expiry();
+    if (!(expiry < time)) break;  // expiry at exactly `time` fires later
+    process_expiry(next, expiry, sink);
+    now_ = expiry;
   }
   if (std::isfinite(time)) now_ = time;
 }
@@ -147,11 +153,11 @@ ServeAction DrwpPolicy::on_request(int server, double time,
 
   if (st.has_copy) {
     // Lines 4–5: served by the local copy (t_i <= E_j or K_j = 1).
-    REPL_CHECK(st.special || st.expiry >= time);
+    REPL_CHECK(st.special || st.expiry() >= time);
     action.local = true;
     action.source = server;
     action.source_special = st.special;
-    action.special_since = st.special_since;
+    action.special_since = special_since(st);
   } else {
     // Lines 6–9: transfer from another holder, create a copy here.
     const int source = pick_transfer_source(server);
@@ -159,7 +165,7 @@ ServeAction DrwpPolicy::on_request(int server, double time,
     action.local = false;
     action.source = source;
     action.source_special = src.special;
-    action.special_since = src.special_since;
+    action.special_since = special_since(src);
     sink.on_transfer(source, server, time);
     st.has_copy = true;
     ++copy_count_;
@@ -169,7 +175,7 @@ ServeAction DrwpPolicy::on_request(int server, double time,
       // outgoing transfer.
       src.has_copy = false;
       src.special = false;
-      src.special_since = kInf;
+      special_since_ = kInf;
       --copy_count_;
       REPL_CHECK(copy_count_ >= 1);
       sink.on_drop(source, time);
@@ -184,7 +190,6 @@ ServeAction DrwpPolicy::on_request(int server, double time,
   const double duration = choose_duration(pred, ctx);
   action.intended_duration = duration;
   set_intended(server, time, duration, sink);
-  st.last_request_time = time;
   now_ = time;
   return action;
 }
@@ -198,7 +203,7 @@ double DrwpPolicy::intended_expiry(int server) const {
   REPL_REQUIRE(server >= 0 && server < config_.num_servers);
   const ServerState& st = servers_[static_cast<std::size_t>(server)];
   if (!st.has_copy) return -kInf;
-  return st.special ? kInf : st.expiry;
+  return st.special ? kInf : st.expiry();
 }
 
 bool DrwpPolicy::is_special(int server) const {
@@ -214,8 +219,8 @@ void DrwpPolicy::save_state(StateWriter& out) const {
   for (const ServerState& st : servers_) {
     out.boolean(st.has_copy);
     out.boolean(st.special);
-    out.f64(st.expiry);
-    out.f64(st.special_since);
+    out.f64(st.expiry());
+    out.f64(special_since(st));
     out.f64(st.last_intended);
     out.f64(st.last_request_time);
     out.u64(st.generation);
@@ -232,34 +237,42 @@ void DrwpPolicy::load_state(StateReader& in) {
   }
   copy_count_ = in.i32();
   now_ = in.f64();
-  expiries_ = {};
+  special_since_ = kInf;
+  int copies = 0;
+  int specials = 0;
   for (ServerState& st : servers_) {
     st.has_copy = in.boolean();
     st.special = in.boolean();
-    st.expiry = in.f64();
-    st.special_since = in.f64();
+    const double expiry = in.f64();
+    const double special_since = in.f64();
     st.last_intended = in.f64();
     st.last_request_time = in.f64();
     st.generation = in.u64();
+    // E_j and the special-since time are derived state: a record that
+    // stores other values was not written by save_state.
+    if (expiry != st.expiry()) {
+      in.fail("drwp expiry inconsistent with the last request and duration");
+    }
+    if (st.special) {
+      if (!st.has_copy || !(special_since <= now_)) {
+        in.fail("drwp special copy not held or without a special-since "
+                "time");
+      }
+      special_since_ = special_since;
+      ++specials;
+    } else if (special_since != kInf) {
+      in.fail("drwp regular copy has a special-since time");
+    }
+    if (st.has_copy) ++copies;
   }
   if (copy_count_ < 1 || copy_count_ > num_servers) {
     in.fail("drwp copy count " + std::to_string(copy_count_) +
             " out of range");
   }
-  // Rebuild the expiry heap from the per-server truth. Pop order is a
-  // total order on (time, server), so the rebuilt heap dequeues in the
-  // exact sequence the original would have — stale entries simply never
-  // existed here.
-  int copies = 0;
-  for (int s = 0; s < num_servers; ++s) {
-    const ServerState& st = servers_[static_cast<std::size_t>(s)];
-    if (!st.has_copy) continue;
-    ++copies;
-    if (!st.special) {
-      expiries_.push(HeapEntry{st.expiry, s, st.generation});
-    }
-  }
   if (copies != copy_count_) in.fail("drwp copy count inconsistent");
+  if (specials > 1 || (specials == 1 && copy_count_ != 1)) {
+    in.fail("drwp special copy must be the only copy");
+  }
 }
 
 std::string DrwpPolicy::name() const {

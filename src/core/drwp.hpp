@@ -18,9 +18,9 @@
 // (5+α)/3-consistent and (1 + 1/α)-robust.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "core/policy.hpp"
@@ -48,9 +48,10 @@ class DrwpPolicy : public ReplicationPolicy {
   std::unique_ptr<ReplicationPolicy> clone() const override;
 
   /// Serializes the per-server automaton state (E_j, K_j, bookkeeping)
-  /// and the clock; the expiry heap is rebuilt from it on load, which
-  /// drops stale entries for free. alpha and the server count are
-  /// written as cross-checks only.
+  /// and the clock. E_j and the special-since time are written although
+  /// they are derived (see ServerState), and load_state rejects a record
+  /// whose stored values disagree with the derivation. alpha and the
+  /// server count are written as cross-checks only.
   void save_state(StateWriter& out) const override;
   void load_state(StateReader& in) override;
 
@@ -87,40 +88,45 @@ class DrwpPolicy : public ReplicationPolicy {
   const SystemConfig& config() const { return config_; }
 
  private:
-  struct HeapEntry {
-    double time;
-    int server;
-    std::uint64_t generation;
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.server > b.server;  // ties: lower server index first
-    }
-  };
-
+  /// E_j is not stored: set_intended sets it together with the request
+  /// time, so it is always last_request_time + last_intended (-inf
+  /// before the server's first request). The special-since time is not
+  /// stored per server either: at most one copy is special at a time
+  /// (Proposition 1), so it lives in `special_since_`.
   struct ServerState {
     bool has_copy = false;
     bool special = false;  // K_j
-    double expiry = -std::numeric_limits<double>::infinity();  // E_j
-    double special_since = std::numeric_limits<double>::infinity();
     double last_intended = std::numeric_limits<double>::quiet_NaN();
     double last_request_time = std::numeric_limits<double>::quiet_NaN();
+    /// Durations set so far; kept in the snapshot layout.
     std::uint64_t generation = 0;
+
+    double expiry() const {
+      return std::isnan(last_intended)
+                 ? -std::numeric_limits<double>::infinity()
+                 : last_request_time + last_intended;
+    }
   };
 
   void set_intended(int server, double time, double duration,
                     EventSink& sink);
   void process_expiry(int server, double time, EventSink& sink);
-  void purge_stale_heap() const;
+  /// The held regular copy that expires next: lowest (E_j, server), -1
+  /// when every copy is special.
+  int next_expiring() const;
   int pick_transfer_source(int requester) const;
+  double special_since(const ServerState& st) const {
+    return st.special ? special_since_
+                      : std::numeric_limits<double>::infinity();
+  }
 
   double alpha_;
   SystemConfig config_;
   std::vector<ServerState> servers_;
   int copy_count_ = 0;
   double now_ = 0.0;
-  mutable std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                              std::greater<HeapEntry>>
-      expiries_;
+  /// When the special copy became special; +inf while there is none.
+  double special_since_ = std::numeric_limits<double>::infinity();
 };
 
 /// The prediction-less 2-competitive baseline: Algorithm 1 with α = 1

@@ -11,6 +11,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The per-event logs of one run, allocated only when
+/// SimulationOptions::record_events is on.
+struct EventLogs {
+  std::vector<ServeRecord> serves;
+  std::vector<CopySegment> segments;
+  std::vector<TransferRecord> transfers;
+};
+
 /// The canonical event sink: validates the event stream and accumulates
 /// costs, copy segments, and transfers.
 ///
@@ -30,31 +38,31 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// list itself is retained only when per-event recording is on.
 class Recorder final : public EventSink {
  public:
-  Recorder(const SystemConfig& config, bool record_events,
+  /// `logs` receives segments and transfers; null when recording is off.
+  Recorder(const SystemConfig& config, EventLogs* logs,
            double billing_horizon)
       : config_(config),
-        record_events_(record_events),
+        logs_(logs),
         billing_horizon_(billing_horizon),
-        holding_(static_cast<std::size_t>(config.num_servers), false),
-        open_begin_(static_cast<std::size_t>(config.num_servers), 0.0),
-        open_special_(static_cast<std::size_t>(config.num_servers), kInf) {}
+        open_(std::make_unique<OpenCopy[]>(
+            static_cast<std::size_t>(config.num_servers))) {}
 
   void set_billing_horizon(double horizon) { billing_horizon_ = horizon; }
 
   void on_create(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(!holding_at(server),
-                   "create at server already holding a copy");
-    holding_at(server) = true;
+    OpenCopy& copy = open_at(server);
+    REPL_CHECK_MSG(!copy.holding, "create at server already holding a copy");
+    copy.holding = true;
+    copy.begin = time;
     ++count_;
-    open_begin_[static_cast<std::size_t>(server)] = time;
-    open_special_[static_cast<std::size_t>(server)] = kInf;
   }
 
   void on_drop(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(holding_at(server), "drop at server without a copy");
-    holding_at(server) = false;
+    OpenCopy& copy = open_at(server);
+    REPL_CHECK_MSG(copy.holding, "drop at server without a copy");
+    copy.holding = false;
     --count_;
     REPL_CHECK_MSG(count_ >= 1,
                    "at-least-one-copy requirement violated at t=" << time);
@@ -63,41 +71,47 @@ class Recorder final : public EventSink {
 
   void on_mark_special(int server, double time) override {
     check_time(time);
-    REPL_CHECK_MSG(holding_at(server), "mark_special without a copy");
+    REPL_CHECK_MSG(open_at(server).holding, "mark_special without a copy");
     REPL_CHECK_MSG(count_ == 1,
                    "special copy must be the only copy (Proposition 1)");
-    auto& sf = open_special_[static_cast<std::size_t>(server)];
-    REPL_CHECK_MSG(sf == kInf, "copy marked special twice");
-    sf = time;
+    REPL_CHECK_MSG(special_server_ != server, "copy marked special twice");
+    // The only copy is open, so no other segment can be special.
+    REPL_CHECK(special_server_ < 0);
+    special_server_ = server;
+    special_since_ = time;
   }
 
   void on_transfer(int src, int dst, double time) override {
     check_time(time);
     REPL_CHECK_MSG(src != dst, "self-transfer");
-    REPL_CHECK_MSG(holding_at(src), "transfer from a server without a copy");
+    REPL_CHECK_MSG(open_at(src).holding,
+                   "transfer from a server without a copy");
     ++transfer_count_;
     // Transfers after the cost horizon (e.g. post-trace home migrations
     // during the flush) are recorded but not billed.
     if (time <= billing_horizon_) ++billed_transfer_count_;
-    if (record_events_) transfers_.push_back(TransferRecord{src, dst, time});
+    if (logs_ != nullptr) {
+      logs_->transfers.push_back(TransferRecord{src, dst, time});
+    }
   }
 
   void on_set_duration(int server, double time, double duration) override {
     check_time(time);
-    REPL_CHECK(holding_at(server));
+    REPL_CHECK(open_at(server).holding);
     REPL_CHECK(duration > 0.0);
     if (std::isnan(initial_intended_)) initial_intended_ = duration;
     // A renewed intended duration un-marks a special copy.
-    open_special_[static_cast<std::size_t>(server)] = kInf;
+    if (special_server_ == server) clear_special();
   }
 
   /// Closes all still-open segments with end = +inf. No further events
   /// may follow.
   void finish() {
     for (int s = 0; s < config_.num_servers; ++s) {
-      if (holding_at(s)) {
+      OpenCopy& copy = open_at(s);
+      if (copy.holding) {
         close_segment(s, kInf);
-        holding_at(s) = false;
+        copy.holding = false;
       }
     }
   }
@@ -107,8 +121,6 @@ class Recorder final : public EventSink {
   std::size_t billed_transfer_count() const { return billed_transfer_count_; }
   double last_time() const { return last_time_; }
   double initial_intended() const { return initial_intended_; }
-  std::vector<CopySegment>& segments() { return segments_; }
-  std::vector<TransferRecord>& transfers() { return transfers_; }
 
   /// Storage cost within [0, horizon], weighted by per-server rates.
   /// Must be called after finish() (all segments closed and billed).
@@ -124,11 +136,12 @@ class Recorder final : public EventSink {
     out.f64(last_time_);
     out.f64(initial_intended_);
     out.f64(storage_cost_);
-    out.u64(static_cast<std::uint64_t>(holding_.size()));
-    for (std::size_t s = 0; s < holding_.size(); ++s) {
-      out.boolean(holding_[s]);
-      out.f64(open_begin_[s]);
-      out.f64(open_special_[s]);
+    out.u64(static_cast<std::uint64_t>(config_.num_servers));
+    for (int s = 0; s < config_.num_servers; ++s) {
+      const OpenCopy& copy = open_[static_cast<std::size_t>(s)];
+      out.boolean(copy.holding);
+      out.f64(copy.begin);
+      out.f64(s == special_server_ ? special_since_ : kInf);
     }
   }
 
@@ -139,24 +152,47 @@ class Recorder final : public EventSink {
     last_time_ = in.f64();
     initial_intended_ = in.f64();
     storage_cost_ = in.f64();
-    if (in.u64() != holding_.size()) in.fail("recorder server count mismatch");
-    for (std::size_t s = 0; s < holding_.size(); ++s) {
-      holding_[s] = in.boolean();
-      open_begin_[s] = in.f64();
-      open_special_[s] = in.f64();
+    if (in.u64() != static_cast<std::uint64_t>(config_.num_servers)) {
+      in.fail("recorder server count mismatch");
     }
-    if (count_ < 1 || count_ > static_cast<int>(holding_.size())) {
+    clear_special();
+    for (int s = 0; s < config_.num_servers; ++s) {
+      OpenCopy& copy = open_[static_cast<std::size_t>(s)];
+      copy.holding = in.boolean();
+      copy.begin = in.f64();
+      const double special_since = in.f64();
+      if (special_since == kInf) continue;
+      if (!copy.holding) in.fail("recorder special copy not held");
+      if (special_server_ >= 0) in.fail("recorder has two special copies");
+      special_server_ = s;
+      special_since_ = special_since;
+    }
+    if (count_ < 1 || count_ > config_.num_servers) {
       in.fail("recorder copy count " + std::to_string(count_) +
               " out of range");
     }
-    segments_.clear();
-    transfers_.clear();
+    if (logs_ != nullptr) {
+      logs_->segments.clear();
+      logs_->transfers.clear();
+    }
   }
 
  private:
-  std::vector<bool>::reference holding_at(int server) {
+  /// A server's open copy: whether it holds one, and since when (kept
+  /// after a drop, as the snapshot layout records it).
+  struct OpenCopy {
+    double begin = 0.0;
+    bool holding = false;
+  };
+
+  OpenCopy& open_at(int server) {
     REPL_CHECK(server >= 0 && server < config_.num_servers);
-    return holding_[static_cast<std::size_t>(server)];
+    return open_[static_cast<std::size_t>(server)];
+  }
+
+  void clear_special() {
+    special_server_ = -1;
+    special_since_ = kInf;
   }
 
   void check_time(double time) {
@@ -167,31 +203,33 @@ class Recorder final : public EventSink {
   }
 
   void close_segment(int server, double end) {
-    const auto s = static_cast<std::size_t>(server);
+    const double begin = open_[static_cast<std::size_t>(server)].begin;
     // Bill the segment's storage as it closes. `billing_horizon_` is +inf
     // until finish() pins it, and every in-run close happens at or before
     // the final request time, so capping here computes the same value the
     // final horizon would — in the same operation order as a post-hoc
     // sweep, keeping costs bit-identical to the pre-streaming code path.
     const double capped = std::min(end, billing_horizon_);
-    if (capped > open_begin_[s]) {
-      storage_cost_ += config_.storage_rate(server) * (capped - open_begin_[s]);
+    if (capped > begin) {
+      storage_cost_ += config_.storage_rate(server) * (capped - begin);
     }
-    if (record_events_) {
-      segments_.push_back(CopySegment{server, open_begin_[s],
-                                      open_special_[s], end});
+    const bool special = server == special_server_;
+    if (logs_ != nullptr) {
+      logs_->segments.push_back(
+          CopySegment{server, begin, special ? special_since_ : kInf, end});
     }
-    open_special_[s] = kInf;
+    if (special) clear_special();
   }
 
   const SystemConfig& config_;
-  bool record_events_;
+  EventLogs* logs_;
   double billing_horizon_;
-  std::vector<bool> holding_;
-  std::vector<double> open_begin_;
-  std::vector<double> open_special_;
-  std::vector<CopySegment> segments_;
-  std::vector<TransferRecord> transfers_;
+  std::unique_ptr<OpenCopy[]> open_;
+  /// The one copy that is special (-1: none) and since when. A copy is
+  /// marked special only while it is the only copy, so there is at most
+  /// one (Proposition 1).
+  int special_server_ = -1;
+  double special_since_ = kInf;
   int count_ = 0;
   std::size_t transfer_count_ = 0;
   std::size_t billed_transfer_count_ = 0;
@@ -212,28 +250,31 @@ struct OnlineSimulation::Impl {
   Impl(const SystemConfig& cfg, const SimulationOptions& opts,
        ReplicationPolicy& pol, Predictor& pred)
       : config(validated(cfg)),
-        options(opts),
+        horizon(opts.horizon),
+        logs(opts.record_events ? std::make_unique<EventLogs>() : nullptr),
         policy(pol),
         predictor(pred),
-        recorder(config, options.record_events,
-                 options.horizon < 0.0 ? kInf : options.horizon) {
+        recorder(config, logs.get(), horizon < 0.0 ? kInf : horizon) {
     predictor.reset();
-    const Prediction pred0 = predictor.predict(
-        PredictionQuery{-1, config.initial_server, 0.0,
-                        config.transfer_cost});
-    policy.reset(config, pred0, recorder);
-    result.config = config;
-    result.policy_name = policy.name();
-    result.predictor_name = predictor.name();
-    result.initial_prediction = pred0;
+    initial_prediction = predictor.predict(PredictionQuery{
+        -1, config.initial_server, 0.0, config.transfer_cost});
+    policy.reset(config, initial_prediction, recorder);
+    policy_name = policy.name();
+    predictor_name = predictor.name();
   }
 
   const SystemConfig& config;
-  SimulationOptions options;
+  double horizon;
+  std::unique_ptr<EventLogs> logs;
   ReplicationPolicy& policy;
   Predictor& predictor;
   Recorder recorder;
-  SimulationResult result;
+  /// The prediction issued for the dummy request r0.
+  Prediction initial_prediction;
+  std::size_t num_local = 0;
+  /// Captured at construction: name() formats on every call.
+  std::string policy_name;
+  std::string predictor_name;
   std::size_t index = 0;
   double last_request_time = 0.0;
   bool finished = false;
@@ -275,9 +316,9 @@ void OnlineSimulation::step(int server, double time) {
           (action.local ? 0u : 1u) +
               static_cast<std::size_t>(action.extra_transfers),
       "serve action inconsistent with emitted transfers");
-  if (action.local) ++im.result.num_local;
+  if (action.local) ++im.num_local;
 
-  if (im.options.record_events) {
+  if (im.logs) {
     ServeRecord record;
     record.index = im.index;
     record.server = server;
@@ -288,13 +329,13 @@ void OnlineSimulation::step(int server, double time) {
     record.special_since = action.special_since;
     record.intended_duration = action.intended_duration;
     record.prediction = pred;
-    im.result.serves.push_back(record);
+    im.logs->serves.push_back(record);
   }
   ++im.index;
 }
 
 void OnlineSimulation::reserve(std::size_t num_requests) {
-  if (impl_->options.record_events) impl_->result.serves.reserve(num_requests);
+  if (impl_->logs) impl_->logs->serves.reserve(num_requests);
 }
 
 std::size_t OnlineSimulation::steps() const { return impl_->index; }
@@ -306,9 +347,8 @@ double OnlineSimulation::last_time() const {
 void OnlineSimulation::save_state(StateWriter& out) const {
   const Impl& im = *impl_;
   REPL_CHECK_MSG(!im.finished, "save_state after finish()");
-  // The names captured at construction: name() formats on every call.
-  out.str(im.result.policy_name);
-  out.str(im.result.predictor_name);
+  out.str(im.policy_name);
+  out.str(im.predictor_name);
   // Config cross-checks: every component below prices against the same
   // SystemConfig, so a snapshot restored under a different λ, initial
   // server, or storage-rate vector must be rejected, not silently
@@ -320,8 +360,8 @@ void OnlineSimulation::save_state(StateWriter& out) const {
   }
   out.u64(static_cast<std::uint64_t>(im.index));
   out.f64(im.last_request_time);
-  out.u64(static_cast<std::uint64_t>(im.result.num_local));
-  out.boolean(im.result.initial_prediction.within_lambda);
+  out.u64(static_cast<std::uint64_t>(im.num_local));
+  out.boolean(im.initial_prediction.within_lambda);
   im.recorder.save_state(out);
   im.policy.save_state(out);
   im.predictor.save_state(out);
@@ -333,14 +373,14 @@ void OnlineSimulation::load_state(StateReader& in) {
   REPL_CHECK_MSG(im.index == 0,
                  "load_state requires a freshly constructed simulation");
   const std::string policy_name = in.str();
-  if (policy_name != im.result.policy_name) {
+  if (policy_name != im.policy_name) {
     in.fail("policy mismatch: snapshot has '" + policy_name + "', have '" +
-            im.result.policy_name + "'");
+            im.policy_name + "'");
   }
   const std::string predictor_name = in.str();
-  if (predictor_name != im.result.predictor_name) {
+  if (predictor_name != im.predictor_name) {
     in.fail("predictor mismatch: snapshot has '" + predictor_name +
-            "', have '" + im.result.predictor_name + "'");
+            "', have '" + im.predictor_name + "'");
   }
   if (in.f64() != im.config.transfer_cost) {
     in.fail("transfer cost (lambda) mismatch");
@@ -355,8 +395,8 @@ void OnlineSimulation::load_state(StateReader& in) {
   }
   im.index = static_cast<std::size_t>(in.u64());
   im.last_request_time = in.f64();
-  im.result.num_local = static_cast<std::size_t>(in.u64());
-  im.result.initial_prediction.within_lambda = in.boolean();
+  im.num_local = static_cast<std::size_t>(in.u64());
+  im.initial_prediction.within_lambda = in.boolean();
   im.recorder.load_state(in);
   im.policy.load_state(in);
   im.predictor.load_state(in);
@@ -369,7 +409,7 @@ SimulationResult OnlineSimulation::finish() {
 
   const double lambda = im.config.transfer_cost;
   const double horizon =
-      im.options.horizon < 0.0 ? im.last_request_time : im.options.horizon;
+      im.horizon < 0.0 ? im.last_request_time : im.horizon;
   im.recorder.set_billing_horizon(horizon);
 
   // Flush pending expiries past the horizon so the post-trace segments
@@ -389,23 +429,29 @@ SimulationResult OnlineSimulation::finish() {
   REPL_CHECK(im.recorder.count() >= 1);
 
   im.recorder.finish();
-  im.result.horizon = horizon;
-  im.result.storage_cost = im.recorder.storage_cost();
-  im.result.num_transfers = im.recorder.billed_transfer_count();
-  im.result.transfer_cost =
-      lambda * static_cast<double>(im.result.num_transfers);
-  im.result.initial_intended_duration = im.recorder.initial_intended();
+  SimulationResult result;
+  result.config = im.config;
+  result.horizon = horizon;
+  result.storage_cost = im.recorder.storage_cost();
+  result.num_local = im.num_local;
+  result.num_transfers = im.recorder.billed_transfer_count();
+  result.transfer_cost = lambda * static_cast<double>(result.num_transfers);
+  result.initial_intended_duration = im.recorder.initial_intended();
+  result.initial_prediction = im.initial_prediction;
+  result.policy_name = std::move(im.policy_name);
+  result.predictor_name = std::move(im.predictor_name);
 
-  if (im.options.record_events) {
-    im.result.segments = std::move(im.recorder.segments());
-    std::sort(im.result.segments.begin(), im.result.segments.end(),
+  if (im.logs) {
+    result.serves = std::move(im.logs->serves);
+    result.segments = std::move(im.logs->segments);
+    std::sort(result.segments.begin(), result.segments.end(),
               [](const CopySegment& a, const CopySegment& b) {
                 if (a.begin != b.begin) return a.begin < b.begin;
                 return a.server < b.server;
               });
-    im.result.transfers = std::move(im.recorder.transfers());
+    result.transfers = std::move(im.logs->transfers);
   }
-  return std::move(im.result);
+  return result;
 }
 
 Simulator::Simulator(SystemConfig config, SimulationOptions options)

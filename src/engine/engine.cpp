@@ -49,6 +49,18 @@ struct WindowRecord {
   std::size_t size = 0;
 };
 
+/// Adds one object's final into an aggregate (EngineMetrics or
+/// EngineShardMetrics). The caller fixes the order: ascending object id.
+template <typename Aggregate>
+void accumulate(Aggregate& into, const EngineObjectFinal& final) {
+  ++into.objects;
+  into.events += final.events;
+  into.num_local += final.num_local;
+  into.num_transfers += final.num_transfers;
+  into.online_cost += final.online_cost;
+  into.lower_bound += final.lower_bound;
+}
+
 }  // namespace
 
 EngineMetrics reduce_object_finals(const std::vector<EngineObjectFinal>& finals) {
@@ -61,12 +73,7 @@ EngineMetrics reduce_object_finals(const std::vector<EngineObjectFinal>& finals)
                      "order: id "
                          << final.id << " after " << prev_id);
     prev_id = final.id;
-    ++metrics.objects;
-    metrics.events += final.events;
-    metrics.num_local += final.num_local;
-    metrics.num_transfers += final.num_transfers;
-    metrics.online_cost += final.online_cost;
-    metrics.lower_bound += final.lower_bound;
+    accumulate(metrics, final);
   }
   return metrics;
 }
@@ -166,7 +173,13 @@ struct StreamingEngine::ObjectState {
 };
 
 struct StreamingEngine::Shard {
-  std::unordered_map<std::uint64_t, std::unique_ptr<ObjectState>> objects;
+  explicit Shard(std::size_t shard_index) : index(shard_index) {}
+
+  /// Position in the engine's shard list.
+  const std::size_t index;
+  /// Each object's state lives in its map node: one allocation for the
+  /// entry and the state together.
+  std::unordered_map<std::uint64_t, ObjectState> objects;
   /// Events routed to this shard for the batch in flight, in stream order.
   std::vector<LogEvent> inbox;
   /// Positions, in the window's record table, of the records this shard
@@ -178,9 +191,6 @@ struct StreamingEngine::Shard {
   StateWriter window_bytes;
   /// Set by the shard task on failure; the lowest shard index wins.
   std::exception_ptr error;
-  /// Filled by finish(), sorted by object id.
-  std::vector<EngineObjectFinal> finals;
-  EngineShardMetrics metrics;
 };
 
 StreamingEngine::StreamingEngine(SystemConfig config, EngineOptions options,
@@ -206,7 +216,7 @@ StreamingEngine::StreamingEngine(SystemConfig config, EngineOptions options,
   }
   shards_.reserve(options_.num_shards);
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(i));
   }
   if (options_.metrics != nullptr) {
     telemetry_ = std::make_unique<Telemetry>(*options_.metrics);
@@ -219,8 +229,8 @@ StreamingEngine::Shard& StreamingEngine::shard_for(std::uint64_t object_id) {
   return *shards_[shard_index(object_id, options_.num_shards)];
 }
 
-std::unique_ptr<StreamingEngine::ObjectState>
-StreamingEngine::make_object_state(std::uint64_t object_id) {
+StreamingEngine::ObjectState& StreamingEngine::emplace_object(
+    Shard& shard, std::uint64_t object_id) {
   SimulationOptions sim_options;
   sim_options.horizon = options_.horizon;
   sim_options.record_events = false;
@@ -228,9 +238,11 @@ StreamingEngine::make_object_state(std::uint64_t object_id) {
   context.object_id = object_id;
   context.seed = ParallelRunner::object_seed(
       options_.base_seed, static_cast<std::size_t>(object_id));
-  return std::make_unique<ObjectState>(
-      config_, sim_options, make_policy_(context), make_predictor_(context),
-      options_.compute_lower_bound);
+  const auto [it, inserted] = shard.objects.try_emplace(
+      object_id, config_, sim_options, make_policy_(context),
+      make_predictor_(context), options_.compute_lower_bound);
+  REPL_CHECK_MSG(inserted, "object " << object_id << " instantiated twice");
+  return it->second;
 }
 
 void StreamingEngine::run_shard_tasks(
@@ -321,13 +333,15 @@ void StreamingEngine::ingest(const LogEvent* events, std::size_t count) {
 
   run_shard_tasks(active, [&](Shard& shard) {
     for (const LogEvent& event : shard.inbox) {
-      std::unique_ptr<ObjectState>& slot = shard.objects[event.object];
-      if (!slot) slot = make_object_state(event.object);
-      slot->simulation.step(static_cast<int>(event.server), event.time);
-      if (slot->lower_bound) {
-        slot->lower_bound->step(static_cast<int>(event.server), event.time);
+      const auto found = shard.objects.find(event.object);
+      ObjectState& state = found != shard.objects.end()
+                               ? found->second
+                               : emplace_object(shard, event.object);
+      state.simulation.step(static_cast<int>(event.server), event.time);
+      if (state.lower_bound) {
+        state.lower_bound->step(static_cast<int>(event.server), event.time);
       }
-      ++slot->events;
+      ++state.events;
     }
     shard.inbox.clear();
   });
@@ -355,60 +369,45 @@ EngineMetrics StreamingEngine::finish(std::vector<EngineObjectFinal>* finals) {
   finished_ = true;
   const auto started = std::chrono::steady_clock::now();
 
+  // Each shard task finalizes its objects into its own slice of one
+  // table, releasing their state as it goes.
   std::vector<std::size_t> all_shards(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) all_shards[i] = i;
-
-  run_shard_tasks(all_shards, [](Shard& shard) {
-    shard.finals.reserve(shard.objects.size());
-    for (auto& [id, state] : shard.objects) {
-      const SimulationResult result = state->simulation.finish();
-      EngineObjectFinal final;
-      final.id = id;
-      final.events = state->events;
+  std::vector<std::size_t> slice_begin(shards_.size() + 1, 0);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    all_shards[i] = i;
+    slice_begin[i + 1] = slice_begin[i] + shards_[i]->objects.size();
+  }
+  std::vector<EngineObjectFinal> all(slice_begin.back());
+  run_shard_tasks(all_shards, [&](Shard& shard) {
+    EngineObjectFinal* out = all.data() + slice_begin[shard.index];
+    for (auto it = shard.objects.begin(); it != shard.objects.end();
+         it = shard.objects.erase(it)) {
+      ObjectState& state = it->second;
+      const SimulationResult result = state.simulation.finish();
+      EngineObjectFinal& final = *out++;
+      final.id = it->first;
+      final.events = state.events;
       final.num_local = result.num_local;
       final.num_transfers = result.num_transfers;
       final.online_cost = result.total_cost();
-      final.lower_bound =
-          state->lower_bound ? state->lower_bound->value() : 0.0;
-      shard.finals.push_back(final);
-      state.reset();  // release simulation state as we go
-    }
-    shard.objects.clear();
-    std::sort(shard.finals.begin(), shard.finals.end(),
-              [](const EngineObjectFinal& a, const EngineObjectFinal& b) {
-                return a.id < b.id;
-              });
-    // Shard-local reduction in ascending object id.
-    for (const EngineObjectFinal& final : shard.finals) {
-      ++shard.metrics.objects;
-      shard.metrics.events += final.events;
-      shard.metrics.num_local += final.num_local;
-      shard.metrics.num_transfers += final.num_transfers;
-      shard.metrics.online_cost += final.online_cost;
-      shard.metrics.lower_bound += final.lower_bound;
+      final.lower_bound = state.lower_bound ? state.lower_bound->value() : 0.0;
     }
   });
 
-  // Global reduction: id-sorted across every shard, on the calling
-  // thread — the exact order of a serial per-object sweep, which is what
-  // makes the totals bit-identical for any shard/thread configuration.
-  std::vector<EngineObjectFinal> all;
-  std::size_t total_objects = 0;
-  for (const auto& shard : shards_) total_objects += shard->finals.size();
-  all.reserve(total_objects);
-  for (auto& shard : shards_) {
-    all.insert(all.end(), shard->finals.begin(), shard->finals.end());
-    shard->finals.clear();
-    shard->finals.shrink_to_fit();
-  }
+  // One global sort by id: the exact order of a serial per-object sweep,
+  // which is what makes the totals bit-identical for any shard/thread
+  // configuration. Walking it also hands every shard its own objects in
+  // ascending id, the order its metrics are defined in.
   std::sort(all.begin(), all.end(),
             [](const EngineObjectFinal& a, const EngineObjectFinal& b) {
               return a.id < b.id;
             });
-
   EngineMetrics metrics = reduce_object_finals(all);
-  metrics.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) metrics.shards.push_back(shard->metrics);
+  metrics.shards.resize(shards_.size());
+  for (const EngineObjectFinal& final : all) {
+    accumulate(metrics.shards[shard_index(final.id, options_.num_shards)],
+               final);
+  }
 
   stats_.finish_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -669,7 +668,7 @@ void StreamingEngine::checkpoint(const std::string& path) {
   order.reserve(object_count());
   for (const auto& shard : shards_) {
     for (const auto& [id, state] : shard->objects) {
-      order.emplace_back(id, state.get());
+      order.emplace_back(id, &state);
     }
   }
   std::sort(order.begin(), order.end(),
@@ -834,11 +833,8 @@ std::unique_ptr<StreamingEngine> StreamingEngine::restore(
     engine->run_shard_tasks(active, [&](Shard& shard) {
       for (const std::size_t i : shard.window) {
         const WindowRecord& r = records[i];
-        auto state = engine->make_object_state(r.id);
-        StateReader in(arena.data() + r.offset, r.size,
-                       "object " + std::to_string(r.id));
-        state->load_state(in);
-        shard.objects.emplace(r.id, std::move(state));
+        StateReader in(arena.data() + r.offset, r.size, r.id);
+        engine->emplace_object(shard, r.id).load_state(in);
       }
       shard.window.clear();
     });

@@ -9,17 +9,22 @@
 // stream into traces.
 //
 // Architecture:
-//   * a sharded object table: object state lives in one of `num_shards`
-//     hash maps, shard = mix(object_id) mod num_shards;
+//   * a sharded object table: each object's state (policy, predictor,
+//     OnlineSimulation, streaming lower bound) is stored in its entry's
+//     node in one of `num_shards` hash maps, shard = mix(object_id) mod
+//     num_shards. A first-touched object of drwp × last_gap on 10
+//     servers costs 8 heap allocations, about 1340 B with malloc
+//     overhead (tests/object_memory_test.cpp pins both); later events
+//     allocate nothing;
 //   * an event batcher: ingest() routes a time-ordered batch to per-shard
 //     inboxes and executes the non-empty shards in parallel on the
 //     work-stealing ThreadPool. Within a shard events stay in stream
 //     order, so per-object order is preserved; across shards objects are
 //     independent (the paper's footnote 1 — the same argument that makes
 //     ParallelRunner correct);
-//   * a metrics reducer: finish() finalizes every object, reduces each
-//     shard in ascending object id, then reduces globally in ascending
-//     object id across shards.
+//   * a metrics reducer: finish() finalizes every object shard-parallel
+//     into one table, sorts it by object id once, and walks it into the
+//     global sums and each shard's sums, all in ascending object id.
 //
 // Determinism contract (same as run/parallel_runner.hpp): the global
 // aggregates are bit-identical to running each object's subsequence
@@ -368,7 +373,8 @@ class StreamingEngine {
   Shard& shard_for(std::uint64_t object_id);
   void run_shard_tasks(const std::vector<std::size_t>& shard_ids,
                        const std::function<void(Shard&)>& work);
-  std::unique_ptr<ObjectState> make_object_state(std::uint64_t object_id);
+  /// Instantiates a fresh object in `shard` (which must not hold it).
+  ObjectState& emplace_object(Shard& shard, std::uint64_t object_id);
 
   SystemConfig config_;
   EngineOptions options_;

@@ -2,11 +2,16 @@
 // step by step against the pseudocode, tie-breaking conventions, the
 // paper's Figure-5/Figure-6 walkthroughs, and API contracts.
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/request_types.hpp"
+#include "checkpoint/state_io.hpp"
 #include "core/drwp.hpp"
 #include "core/simulator.hpp"
 #include "predictor/fixed.hpp"
@@ -168,6 +173,105 @@ TEST(Drwp, SimultaneousExpiriesResolveByServerIndex) {
   EXPECT_FALSE(policy.holds(1));      // dropped first (lower index)
   EXPECT_TRUE(policy.holds(2));
   EXPECT_TRUE(policy.is_special(2));  // became the special survivor
+}
+
+/// Records the drop / mark-special events a policy emits, in order.
+class ExpirySink final : public EventSink {
+ public:
+  void on_create(int, double) override {}
+  void on_drop(int server, double time) override {
+    events.push_back("drop " + std::to_string(server) + " @" +
+                     std::to_string(time));
+  }
+  void on_mark_special(int server, double time) override {
+    events.push_back("special " + std::to_string(server) + " @" +
+                     std::to_string(time));
+  }
+  void on_transfer(int, int, double) override {}
+  void on_set_duration(int, double, double) override {}
+
+  std::vector<std::string> events;
+};
+
+TEST(Drwp, BitEqualExpiriesFireLowestServerFirstWhateverTheSetOrder) {
+  // The higher server's E_j is set first, the lower one's later; both
+  // are exactly 4.5. Expiries still fire in (E_j, server) order: the
+  // lower copy drops while another remains, the higher becomes special.
+  // The same holds for a policy restored from the state before the tie.
+  const SystemConfig config = make_config(3, 4.0);
+  ExpirySink setup;
+  DrwpPolicy policy(0.5);
+  policy.reset(config, kBeyond, setup);       // s0: E = 2
+  policy.advance_to(0.5, setup);
+  policy.on_request(2, 0.5, kWithin, setup);  // s2: E = 0.5 + 4 = 4.5
+  policy.advance_to(2.5, setup);              // s0 dropped at 2
+  policy.on_request(1, 2.5, kBeyond, setup);  // s1: E = 2.5 + 2 = 4.5
+  ASSERT_EQ(policy.intended_expiry(1), policy.intended_expiry(2));
+  EXPECT_EQ(policy.next_transition_time(), 4.5);
+
+  StateWriter out;
+  policy.save_state(out);
+  DrwpPolicy restored(0.5);
+  restored.reset(config, kBeyond, setup);
+  StateReader in(out.buffer().data(), out.size(), "tie");
+  restored.load_state(in);
+  in.expect_end();
+
+  const std::vector<std::string> expected = {"drop 1 @4.500000",
+                                             "special 2 @4.500000"};
+  for (DrwpPolicy* p : {&policy, &restored}) {
+    ExpirySink sink;
+    p->advance_to(100.0, sink);
+    EXPECT_EQ(sink.events, expected);
+    EXPECT_FALSE(p->holds(1));
+    EXPECT_TRUE(p->is_special(2));
+  }
+}
+
+/// Overwrites the f64 at byte `offset` of a saved state.
+void patch_f64(std::vector<unsigned char>& bytes, std::size_t offset,
+               double value) {
+  ASSERT_LE(offset + sizeof(double), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(double));
+}
+
+TEST(Drwp, LoadRejectsStoredValuesThatDisagreeWithTheDerivedOnes) {
+  // E_j and the special-since time are derived on load; a record whose
+  // stored values differ was not written by save_state.
+  const SystemConfig config = make_config(2, 4.0);
+  NullEventSink sink;
+  DrwpPolicy policy(0.5);
+  policy.reset(config, kBeyond, sink);  // s0: E = 2
+  StateWriter out;
+  policy.save_state(out);
+  // Layout: alpha f64, servers i32, copies i32, now f64, then per server
+  // has_copy u8, special u8, E_j f64, special_since f64, ...
+  constexpr std::size_t kServer0 = 8 + 4 + 4 + 8;
+  constexpr std::size_t kExpiry = kServer0 + 2;
+  constexpr std::size_t kSpecialSince = kExpiry + 8;
+
+  const auto load = [&](const std::vector<unsigned char>& bytes) {
+    DrwpPolicy fresh(0.5);
+    fresh.reset(config, kBeyond, sink);
+    StateReader in(bytes.data(), bytes.size(), "drwp");
+    fresh.load_state(in);
+  };
+  EXPECT_NO_THROW(load(out.buffer()));
+
+  std::vector<unsigned char> bad_expiry = out.buffer();
+  patch_f64(bad_expiry, kExpiry, 2.5);
+  try {
+    load(bad_expiry);
+    FAIL() << "an inconsistent E_j was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("drwp expiry inconsistent"),
+              std::string::npos)
+        << e.what();
+  }
+
+  std::vector<unsigned char> bad_special = out.buffer();
+  patch_f64(bad_special, kSpecialSince, 1.0);
+  EXPECT_THROW(load(bad_special), std::runtime_error);
 }
 
 TEST(Drwp, TransferSourcePrefersSpecialAndIsDeterministic) {
